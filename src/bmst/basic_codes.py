@@ -129,7 +129,16 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
     srcb = src.reshape(lead + (B, k))
 
     if code.small.kind == RC:
-        total = srcb[..., 0] + cwb.sum(axis=-1)
+        if n < 8:
+            # numpy sums fewer than 8 terms one by one from +0.0; adding the
+            # columns in that order gives the same bits at a fraction of the
+            # cost of a reduction over a short last axis.
+            cw_sum = 0.0 + cwb[..., 0]
+            for j in range(1, n):
+                cw_sum = cw_sum + cwb[..., j]
+        else:
+            cw_sum = cwb.sum(axis=-1)
+        total = srcb[..., 0] + cw_sum
         ext = np.clip(total[..., None] - cwb, -clip, clip)
         app = np.clip(total, -clip, clip)[..., None]
     else:

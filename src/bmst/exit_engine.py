@@ -165,82 +165,109 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     c_to_eq = [0.0] * L
     p_trace = np.full(L, np.nan)
 
-    def plus_node(s: int, t: int, t_end: int) -> None:
-        ws = []
+    # Module attributes are looked up once per run, so a wrapped jfun, jinv
+    # or exit_transfer_c still sees every call.
+    j_fun, j_inv, transfer = jfun, jinv, exit_transfer_c
+    sqrt = math.sqrt
+    inf = _INF
+    tol = fixed_point_tol
+
+    def plus_plan(s: int, t: int, t_end: int):
+        """Parity node s in window [t, t_end]: how many of its edges carry
+        MI 0 from beyond the window, the equality-node weights it reads (in
+        edge order) and the edges it writes.  Edges past either end of the
+        chain carry a known codeword (MI 1, weight 0) and drop out."""
         n_inf = 0
-        fin = 0.0
+        reads = []
+        writes = []
         for j in range(q):
             x = s - j
             if x < 0 or x >= L:
-                wj = 0.0  # termination: known codeword, MI 1
-            elif x > t_end:
-                wj = _INF  # beyond the window: MI 0
-            else:
-                wj = w_epm[x][j]
-            ws.append(wj)
-            if wj == _INF:
+                continue
+            if x > t_end:
+                n_inf += 1
+                continue
+            reads.append((w_epm[x], j))
+            if x >= t:
+                writes.append((w_epm[x], j, ppm[x], v_ppm[x]))
+        return n_inf, reads, writes
+
+    def plus_node(plan, moved: bool) -> bool:
+        """Update one parity node; returns whether any message of the sweep
+        so far moved by more than ``tol``."""
+        n_inf, reads, writes = plan
+        fin = 0.0
+        for wrow, j in reads:
+            w = wrow[j]
+            if w == inf:
                 n_inf += 1
             else:
-                fin += wj
-        for j in range(q):
-            x = s - j
-            if not t <= x <= t_end:
-                continue
-            if ws[j] == _INF:
+                fin += w
+        for wrow, j, prow, vrow in writes:
+            w = wrow[j]
+            if w == inf:
                 others_inf = n_inf - 1
                 others_fin = fin
             else:
                 others_inf = n_inf
-                others_fin = fin - ws[j]
+                others_fin = fin - w
             if others_inf:
                 out = 0.0
             else:
-                out = 1.0 - jfun(math.sqrt(max(w_ch + others_fin, 0.0)))
-            ppm[x][j] = out
-            v_ppm[x][j] = jinv(out) ** 2
+                a = w_ch + others_fin
+                out = 1.0 - j_fun(sqrt(0.0 if a < 0.0 else a))
+            if not moved:
+                diff = out - prow[j]
+                moved = diff > tol or -diff > tol
+            prow[j] = out
+            vrow[j] = j_inv(out) ** 2
+        return moved
 
-    def eq_c_node(tp: int) -> None:
+    def eq_c_node(tp: int, moved: bool) -> bool:
+        """Update the equality and code nodes of layer tp; returns the
+        running ``moved`` flag as :func:`plus_node` does."""
         v = v_ppm[tp]
         total = 0.0
         for vi in v:
             total += vi
-        i_a = jfun(math.sqrt(total))
-        i_e = exit_transfer_c(small, i_a)
+        i_a = j_fun(sqrt(total))
+        i_e = transfer(small, i_a)
         eq_to_c[tp] = i_a
         c_to_eq[tp] = i_e
-        v_c = jinv(i_e) ** 2
+        v_c = j_inv(i_e) ** 2
         row = epm[tp]
         wrow = w_epm[tp]
         for i in range(q):
-            val = jfun(math.sqrt(max(total - v[i] + v_c, 0.0)))
+            a = total - v[i] + v_c
+            val = j_fun(sqrt(0.0 if a < 0.0 else a))
+            if not moved:
+                diff = val - row[i]
+                moved = diff > tol or -diff > tol
             row[i] = val
-            wrow[i] = jinv(1.0 - val) ** 2
+            wrow[i] = j_inv(1.0 - val) ** 2
+        return moved
 
     def run_window(t: int) -> ConvergenceCheck:
         t_end = min(t + d, L - 1)
         tail = range(max(t_end + 1, L), min(t_end + m, L + m - 1) + 1)
-        rows = range(t, t_end + 1)
+        rows = [(tp, plus_plan(tp, t, t_end)) for tp in range(t, t_end + 1)]
+        tail_plans = [plus_plan(s, t, t_end) for s in tail]
         for _ in range(i_max):
-            snap = [tuple(epm[x]) + tuple(ppm[x]) for x in rows]
-            for tp in rows:
-                plus_node(tp, t, t_end)
-                eq_c_node(tp)
-            for s in tail:
-                plus_node(s, t, t_end)
-            delta = 0.0
-            for x, before in zip(rows, snap):
-                after = tuple(epm[x]) + tuple(ppm[x])
-                for a, b in zip(after, before):
-                    diff = abs(a - b)
-                    if diff > delta:
-                        delta = diff
-            if delta <= fixed_point_tol:
+            # A sweep is a fixed point when no message of the window's layers
+            # moves by more than tol; each is written once per sweep.
+            moved = False
+            for tp, plan in rows:
+                moved = plus_node(plan, moved)
+                moved = eq_c_node(tp, moved)
+            for plan in tail_plans:
+                moved = plus_node(plan, moved)
+            if not moved:
                 break
         total = 0.0
         for vi in v_ppm[t]:
             total += vi
-        i_a = jfun(math.sqrt(total))
-        i_e = exit_transfer_c(small, i_a)
+        i_a = j_fun(sqrt(total))
+        i_e = transfer(small, i_a)
         eq_to_c[t] = i_a
         c_to_eq[t] = i_e
         return convergence_check(i_a, i_e, target_ber)

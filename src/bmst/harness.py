@@ -153,8 +153,8 @@ class BerPoint:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # numpy scalars would print as np.float64(...)
     return str(v)
 
 

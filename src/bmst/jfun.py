@@ -28,6 +28,7 @@ _SQRT2 = math.sqrt(2.0)
 #: Largest tabulated sigma; J(SIGMA_MAX) rounds to 1.0 in double precision.
 SIGMA_MAX = 22.0
 _STEP = 0.01
+_INV_STEP = 1.0 / _STEP
 #: Leading coefficient of J(sigma) ~ sigma**2 / (8 ln 2) as sigma -> 0.
 _SMALL_MI_COEFF = 1.0 / (8.0 * _LN2)
 
@@ -68,13 +69,9 @@ class _JTable:
         values[0] = 0.0
         self.values = np.clip(values, 0.0, 1.0)
         self.spline = CubicSpline(self.grid, self.values)
-        c = self.spline.c
-        self._c0 = c[3].tolist()
-        self._c1 = c[2].tolist()
-        self._c2 = c[1].tolist()
-        self._c3 = c[0].tolist()
+        # Per-interval (c0, c1, c2, c3): one lookup per evaluation.
+        self._coef = list(zip(*(self.spline.c[::-1].tolist())))
         self._n_int = len(self.grid) - 1
-        self._inv_scale = 1.0 / _STEP
 
         # Inverse lookup table on a uniform MI grid for Newton seeding.
         # Restricted to where 1 - J is comfortably above double-precision noise.
@@ -97,31 +94,15 @@ class _JTable:
     def eval(self, x: float) -> float:
         if x >= SIGMA_MAX:
             return 1.0
-        i = int(x * self._inv_scale)
+        i = int(x * _INV_STEP)
         if i >= self._n_int:
             i = self._n_int - 1
         u = x - i * _STEP
-        y = self._c0[i] + u * (self._c1[i] + u * (self._c2[i] + u * self._c3[i]))
+        c0, c1, c2, c3 = self._coef[i]
+        y = c0 + u * (c1 + u * (c2 + u * c3))
         if y <= 0.0:
             return 0.0
         return y if y < 1.0 else 1.0
-
-    def deriv(self, x: float) -> float:
-        if x >= SIGMA_MAX:
-            return 0.0
-        i = int(x * self._inv_scale)
-        if i >= self._n_int:
-            i = self._n_int - 1
-        u = x - i * _STEP
-        return self._c1[i] + u * (2.0 * self._c2[i] + 3.0 * self._c3[i] * u)
-
-    def inv_seed(self, mi: float) -> float:
-        k = int(mi / self._inv_mi_step)
-        if k >= len(self._inv_sigma) - 1:
-            return self._inv_sigma[-1]
-        frac = mi / self._inv_mi_step - k
-        a = self._inv_sigma[k]
-        return a + frac * (self._inv_sigma[k + 1] - a)
 
 
 _TABLE: _JTable | None = None
@@ -139,13 +120,11 @@ def jfun(sigma):
 
     Accepts a scalar or ndarray; values above ``SIGMA_MAX`` map to 1.0.
     """
-    tab = _table()
+    tab = _TABLE if _TABLE is not None else _table()
     if isinstance(sigma, (float, int)):
         if sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
-        if math.isinf(sigma):
-            return 1.0
-        return tab.eval(float(sigma))
+        return tab.eval(float(sigma))  # inf lies above SIGMA_MAX: 1.0
     arr = np.asarray(sigma, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("sigma must be non-negative")
@@ -154,10 +133,24 @@ def jfun(sigma):
     return out
 
 
-def _jinv_scalar(mi: float, tab: _JTable) -> float:
-    if mi <= 0.0:
+def jinv(mi):
+    """Inverse of :func:`jfun`; ``jinv(1.0)`` is ``inf``, ``jinv(0.0)`` is 0.
+
+    Accepts a scalar or ndarray in [0, 1]; satisfies
+    ``|jfun(jinv(x)) - x| <= 1e-8`` everywhere (typically below 1e-12).
+    """
+    tab = _TABLE if _TABLE is not None else _table()
+    if not isinstance(mi, (float, int)):
+        arr = np.asarray(mi, dtype=float)
+        if np.any((arr < 0.0) | (arr > 1.0)):
+            raise ValueError("mutual information must lie in [0, 1]")
+        return np.array([jinv(float(x)) for x in arr.ravel()]).reshape(arr.shape)
+    if mi < 0.0 or mi > 1.0:
+        raise ValueError(f"mutual information must lie in [0, 1], got {mi}")
+    mi = float(mi)
+    if mi == 0.0:
         return 0.0
-    if mi >= 1.0:
+    if mi == 1.0:
         return math.inf
     if mi > tab.mi_hi:
         # Deep saturation: bisect on the spline between sigma_hi and SIGMA_MAX.
@@ -172,39 +165,49 @@ def _jinv_scalar(mi: float, tab: _JTable) -> float:
     if mi < 1e-4:
         s = math.sqrt(mi / _SMALL_MI_COEFF)
     else:
-        s = tab.inv_seed(mi)
+        # Linear interpolation in the inverse table.
+        inv_sigma = tab._inv_sigma
+        r = mi / tab._inv_mi_step
+        k = int(r)
+        if k >= len(inv_sigma) - 1:
+            s = inv_sigma[-1]
+        else:
+            a = inv_sigma[k]
+            s = a + (r - k) * (inv_sigma[k + 1] - a)
+    # Safeguarded Newton on the spline; J and J' are evaluated inline (the
+    # arithmetic of _JTable.eval and its derivative) since this is the
+    # innermost loop of the MI recursion.
+    coef = tab._coef
+    last = tab._n_int - 1
     lo, hi = 0.0, SIGMA_MAX
     for _ in range(30):
-        f = tab.eval(s) - mi
-        if abs(f) <= 1e-13:
+        inside = s < SIGMA_MAX
+        if inside:
+            i = int(s * _INV_STEP)
+            if i > last:
+                i = last
+            u = s - i * _STEP
+            c0, c1, c2, c3 = coef[i]
+            y = c0 + u * (c1 + u * (c2 + u * c3))
+            if y <= 0.0:
+                y = 0.0
+            elif y >= 1.0:
+                y = 1.0
+        else:
+            y = 1.0
+        f = y - mi
+        if -1e-13 <= f <= 1e-13:
             break
         if f > 0.0:
             hi = s
         else:
             lo = s
-        d = tab.deriv(s)
+        d = c1 + u * (2.0 * c2 + 3.0 * c3 * u) if inside else 0.0
         nxt = s - f / d if d > 0.0 else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         s = nxt
     return s
-
-
-def jinv(mi):
-    """Inverse of :func:`jfun`; ``jinv(1.0)`` is ``inf``, ``jinv(0.0)`` is 0.
-
-    Accepts a scalar or ndarray in [0, 1]; satisfies
-    ``|jfun(jinv(x)) - x| <= 1e-8`` everywhere (typically below 1e-12).
-    """
-    tab = _table()
-    if isinstance(mi, (float, int)):
-        if mi < 0.0 or mi > 1.0:
-            raise ValueError(f"mutual information must lie in [0, 1], got {mi}")
-        return _jinv_scalar(float(mi), tab)
-    arr = np.asarray(mi, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise ValueError("mutual information must lie in [0, 1]")
-    return np.array([_jinv_scalar(float(x), tab) for x in arr.ravel()]).reshape(arr.shape)
 
 
 def qfunc(x):

@@ -14,11 +14,16 @@ blocks past the last layer carry real channel observations and are
 processed whenever the window reaches them.
 
 All arrays accept leading batch axes, so many independent noise
-realizations decode in lockstep through the same vectorized operations.
+realizations decode through the same vectorized operations.  Within a
+window each trial iterates until its own messages reach an exact fixed
+point (a sweep leaves every message unchanged) or ``max_iters`` sweeps have
+run; converged trials drop out of the arrays later sweeps work on.  A
+trial's decisions and its work thus do not depend on its batch-mates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +40,7 @@ class DecoderConfig:
     delay: int
     max_iters: int = 50
     llr_clip: float = LLR_CLIP
-    early_stop: bool = False
-    early_stop_threshold: float = 45.0
     sweep: str = "forward"  # or "forward-backward"
-    fixed_point_exit: bool = True
-    fixed_point_tol: float = 0.0
 
     def __post_init__(self) -> None:
         if self.delay < 0:
@@ -87,7 +88,6 @@ class WindowState:
     feedback_llr: np.ndarray
     epm: np.ndarray
     ppm: np.ndarray
-    target_app: np.ndarray | None = None
 
     @classmethod
     def create(cls, code: BmstCode, config: DecoderConfig,
@@ -110,27 +110,57 @@ class WindowState:
                    np.zeros(msg_shape), np.zeros(msg_shape))
 
 
-def _edge_out(code: BmstCode, state: WindowState, x: int, i: int,
-              clip: float):
+@dataclass
+class _ActiveRows:
+    """Window-local arrays of the trials that are still iterating.
+
+    The trial axis sits after the layer axes: ``channel[k]`` is block
+    ``position + k``, ``feedback[k]`` is decided layer
+    ``position - len(feedback) + k``, and ``epm``/``ppm`` are shaped
+    ``(w, m + 1, trials, N)`` like the window's messages.  ``rows`` maps each
+    trial to its index in the flattened batch.
+    """
+
+    rows: np.ndarray
+    channel: np.ndarray
+    feedback: np.ndarray
+    epm: np.ndarray
+    ppm: np.ndarray
+
+    def subset(self, keep: np.ndarray) -> "_ActiveRows":
+        return _ActiveRows(self.rows[keep], self.channel[:, keep],
+                           self.feedback[:, keep], self.epm[:, :, keep],
+                           self.ppm[:, :, keep])
+
+
+def _local(x: np.ndarray, start: int, stop: int, trials: int) -> np.ndarray:
+    """Blocks ``start:stop`` of ``(..., blocks, N)`` as ``(blocks, trials, N)``."""
+    part = x[..., start:stop, :]
+    return part.reshape((trials,) + part.shape[-2:]).swapaxes(0, 1).copy()
+
+
+def _edge_out(code: BmstCode, state: WindowState, act: _ActiveRows, x: int,
+              i: int, clip: float):
     """Message from the equality node of layer x toward parity node x+i."""
     if x < 0 or x >= code.coupling_len:
         return clip  # termination: known all-zero codeword
     if x < state.position:
-        return state.feedback_llr[..., x, :]
+        return act.feedback[x - state.position]
     if x > state.layer_end:
         return 0.0
-    return state.epm[x - state.position, i]
+    return act.epm[x - state.position, i]
 
 
-def _plus_node(code: BmstCode, state: WindowState, s: int, clip: float) -> None:
+def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows, s: int,
+               clip: float) -> None:
     """Update parity node of block s; write extrinsics to in-window layers."""
     m = code.memory
     t, t_end = state.position, state.layer_end
-    terms = [state.channel_llr[..., s, :]]
+    terms = [act.channel[s - t]]
     receivers = []
     for j in range(m + 1):
         x = s - j
-        val = _edge_out(code, state, x, j, clip)
+        val = _edge_out(code, state, act, x, j, clip)
         if isinstance(val, float):
             terms.append(val)
         else:
@@ -141,66 +171,87 @@ def _plus_node(code: BmstCode, state: WindowState, s: int, clip: float) -> None:
         return
     outs = leave_one_out_boxplus(terms, clip, needed=[j + 1 for j in receivers])
     for j in receivers:
-        state.ppm[s - j - t, j] = outs[j + 1][..., code.perms_inv[j]]
+        act.ppm[s - j - t, j] = outs[j + 1][..., code.perms_inv[j]]
 
 
-def _eq_c_node(code: BmstCode, state: WindowState, tp: int, clip: float) -> None:
+def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows, tp: int,
+               clip: float) -> None:
     """Equality and code-constraint updates of layer tp."""
     m = code.memory
     wi = tp - state.position
-    inc = state.ppm[wi]
+    inc = act.ppm[wi]
     total = inc.sum(axis=0)
     to_c = np.clip(total, -clip, clip)
-    from_c, info_app = siso_decode_basic(code.basic, to_c, clip=clip,
-                                         assume_clipped=True)
+    from_c, _ = siso_decode_basic(code.basic, to_c, clip=clip,
+                                  assume_clipped=True)
     for i in range(m + 1):
-        state.epm[wi, i] = np.clip(total - inc[i] + from_c, -clip, clip)
-    if tp == state.position:
-        state.target_app = info_app
+        act.epm[wi, i] = np.clip(total - inc[i] + from_c, -clip, clip)
 
 
-def _iterate(code: BmstCode, state: WindowState, config: DecoderConfig) -> None:
+def _iterate(code: BmstCode, state: WindowState, act: _ActiveRows,
+             config: DecoderConfig) -> None:
     L, m = code.coupling_len, code.memory
     clip = config.llr_clip
     layers = range(state.position, state.layer_end + 1)
     tail_plus = range(max(state.layer_end + 1, L),
                       min(state.layer_end + m, L + m - 1) + 1)
     for tp in layers:
-        _plus_node(code, state, tp, clip)
-        _eq_c_node(code, state, tp, clip)
+        _plus_node(code, state, act, tp, clip)
+        _eq_c_node(code, state, act, tp, clip)
     for s in tail_plus:
-        _plus_node(code, state, s, clip)
+        _plus_node(code, state, act, s, clip)
     if config.sweep == "forward-backward":
         for tp in reversed(layers):
-            _plus_node(code, state, tp, clip)
-            _eq_c_node(code, state, tp, clip)
+            _plus_node(code, state, act, tp, clip)
+            _eq_c_node(code, state, act, tp, clip)
 
 
 def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     """Run up to ``max_iters`` schedule sweeps and decide the target layer.
 
     Returns the hard decisions on the target layer's info bits and their APP
-    LLRs.  Iteration stops early only at an exact message fixed point (a
-    bit-identical state would make further sweeps no-ops) or, if enabled,
-    once every target APP magnitude clears the early-stop threshold.
+    LLRs, shaped like the batch's lead axes plus ``(K,)``.  Each trial stops
+    on its own: once a sweep leaves every one of its messages unchanged, it
+    sits at an exact fixed point and further sweeps would be no-ops, so it
+    leaves the active set and later sweeps skip it.  Otherwise it stops
+    after ``max_iters`` sweeps.  A trial's decisions and its work therefore
+    do not depend on its batch-mates.  On return ``state.epm`` and
+    ``state.ppm`` hold every trial's final messages.
     """
+    L, m, N = code.coupling_len, code.memory, code.N
+    t = state.position
     clip = config.llr_clip
+    lead = state.channel_llr.shape[:-2]
+    trials = math.prod(lead)
+    w = state.layer_end - t + 1
+    epm = state.epm.reshape((w, m + 1, trials, N))
+    ppm = state.ppm.reshape((w, m + 1, trials, N))
+    act = _ActiveRows(
+        np.arange(trials),
+        _local(state.channel_llr, t, min(state.layer_end + m, L + m - 1) + 1,
+               trials),
+        _local(state.feedback_llr, max(t - m, 0), t, trials), epm, ppm)
     for _ in range(config.max_iters):
-        if config.fixed_point_exit:
-            prev_epm = state.epm.copy()
-            prev_ppm = state.ppm.copy()
-        _iterate(code, state, config)
-        if config.early_stop and state.target_app is not None:
-            if np.all(np.abs(state.target_app) >= config.early_stop_threshold):
+        prev_epm = act.epm.copy()
+        prev_ppm = act.ppm.copy()
+        _iterate(code, state, act, config)
+        moving = ~((act.epm == prev_epm).all(axis=(0, 1, 3))
+                   & (act.ppm == prev_ppm).all(axis=(0, 1, 3)))
+        if not moving.all():
+            done = ~moving
+            epm[:, :, act.rows[done]] = act.epm[:, :, done]
+            ppm[:, :, act.rows[done]] = act.ppm[:, :, done]
+            act = act.subset(moving)
+            if not act.rows.size:
                 break
-        if config.fixed_point_exit:
-            d = max(np.max(np.abs(state.epm - prev_epm)),
-                    np.max(np.abs(state.ppm - prev_ppm)))
-            if d <= config.fixed_point_tol:
-                break
-    total = state.ppm[0].sum(axis=0)
+    epm[:, :, act.rows] = act.epm
+    ppm[:, :, act.rows] = act.ppm
+    state.epm = epm.reshape(state.epm.shape)
+    state.ppm = ppm.reshape(state.ppm.shape)
+    total = ppm[0].sum(axis=0)
     _, info_app = siso_decode_basic(code.basic, np.clip(total, -clip, clip),
                                     clip=clip, assume_clipped=True)
+    info_app = info_app.reshape(lead + (code.K,))
     bits = (info_app < 0).astype(np.uint8)
     return bits, info_app
 
@@ -212,7 +263,8 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
     Accepts LLRs shaped ``(..., L+m, N)`` or flat ``((L+m)*N,)``.  Each
     window is decoded independently given the channel LLRs and the decision
     log; decided layers feed back their re-encoded codewords as saturated
-    LLRs to all later windows.
+    LLRs to all later windows.  The lead axes are flattened into one trial
+    axis for decoding and restored on the result.
     """
     L, m, N, K = code.coupling_len, code.memory, code.N, code.K
     llr = np.asarray(channel_llrs, dtype=float)
@@ -222,12 +274,13 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
             raise ValueError(f"expected {(L + m) * N} LLRs, got {llr.size}")
         llr = llr.reshape(L + m, N)
     lead = llr.shape[:-2]
-    feedback = np.zeros(lead + (L, N))
-    decisions = np.zeros(lead + (L, K), dtype=np.uint8)
+    llr = llr.reshape((-1,) + llr.shape[-2:])
+    feedback = np.zeros((llr.shape[0], L, N))
+    decisions = np.zeros((llr.shape[0], L, K), dtype=np.uint8)
     for t in range(L):
         state = WindowState.create(code, config, llr, t, feedback)
         bits, _ = decode_window(code, state, config)
-        decisions[..., t, :] = bits
-        feedback[..., t, :] = config.llr_clip * (
+        decisions[:, t] = bits
+        feedback[:, t] = config.llr_clip * (
             1.0 - 2.0 * encode_basic(code.basic, bits))
     return decisions.reshape(lead + (L * K,))

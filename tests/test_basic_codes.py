@@ -218,6 +218,26 @@ class TestSiso:
         with pytest.raises(ValueError):
             siso_decode_basic(code, np.zeros(4), np.zeros(3))
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 11])
+    def test_rc_bits_equal_numpy_sum(self, n):
+        # The repetition SISO adds its columns one by one; the decoder's
+        # outputs stay bit-identical only while that equals numpy's sum.
+        code = cartesian(make_small_code("rc", n), 6)
+        rng = np.random.default_rng(n)
+        cw = np.clip(rng.standard_normal((4, code.N)) * 20.0, -50.0, 50.0)
+        cw[rng.random(cw.shape) < 0.2] = -0.0
+        src = rng.standard_normal((4, code.K))
+        src[rng.random(src.shape) < 0.3] = -0.0
+        for s in (None, src):
+            ext, app = siso_decode_basic(code, cw, s, assume_clipped=True)
+            cwb = cw.reshape(4, 6, n)
+            srcb = np.zeros((4, 6)) if s is None else s
+            total = srcb + cwb.sum(axis=-1)
+            want_ext = np.clip(total[..., None] - cwb, -50.0, 50.0)
+            want_app = np.clip(total, -50.0, 50.0)
+            assert ext.tobytes() == want_ext.reshape(4, -1).tobytes()
+            assert app.tobytes() == want_app.tobytes()
+
 
 class TestExitTransfer:
     def test_rc2_is_identity(self):

@@ -107,6 +107,26 @@ def test_bound_table_properties():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_spc_numeric_fields_print_as_plain_numbers():
+    # The SPC genie bound is a Monte Carlo estimate held in numpy scalars;
+    # every numeric CSV field must still parse with float().
+    ber_text = run_ber_sweep(tiny_ber_spec(kind="spc", n=3, snr_lo=3.0,
+                                           snr_hi=4.0, snr_step=1.0,
+                                           max_bits=600))
+    bound_text = run_lower_bound_table(ExperimentSpec(
+        command="bound", kind="spc", n=3, memories=(1,), lengths=(50,),
+        snr_lo=3.0, snr_hi=4.0, snr_step=1.0))
+    for text, skip in ((ber_text, set()), (bound_text, {"family"})):
+        lines = [line for line in text.splitlines()
+                 if line and not line.startswith("#")]
+        header = lines[0].split(",")
+        assert len(lines) == 3
+        for line in lines[1:]:
+            for name, field in zip(header, line.split(",")):
+                if name not in skip:
+                    float(field)
+
+
 def test_threshold_vs_l_csv():
     spec = ExperimentSpec(command="threshold-vs-l", kind="rc", n=2,
                           memories=(1,), lengths=(10, 50), snr_lo=0.0,

@@ -104,8 +104,7 @@ class TestNoiseless:
                                  np.random.default_rng(0)), 0.0)
         mags = []
         for iters in (1, 2, 4):
-            cfg = DecoderConfig(delay=3, max_iters=iters,
-                                fixed_point_exit=False)
+            cfg = DecoderConfig(delay=3, max_iters=iters)
             state = WindowState.create(code, cfg, llr, 0)
             _, app = decode_window(code, state, cfg)
             mags.append(float(np.abs(app).mean()))
@@ -241,3 +240,79 @@ def test_forward_backward_sweep_also_decodes():
     llr = received_llr(code, info, 8.0, seed=23)
     cfg = DecoderConfig(delay=3, max_iters=10, sweep="forward-backward")
     np.testing.assert_array_equal(decode_sequence(code, llr, cfg), info)
+
+
+MIXED_SNRS = (None, 2.5, 8.0, 1.0, 4.0, 2.5)  # None: noiseless
+
+
+def mixed_snr_llr(code, seed=41):
+    """Channel LLRs of one trial per entry of MIXED_SNRS, so trials converge
+    at very different sweeps within one batch."""
+    rng = np.random.default_rng(seed)
+    info = rng.integers(0, 2, (len(MIXED_SNRS), code.info_bits),
+                        dtype=np.uint8)
+    rows = []
+    for k, snr in enumerate(MIXED_SNRS):
+        if snr is None:
+            tx = transmit(encode_bmst_all(code, info[k]), 0.0,
+                          np.random.default_rng(seed + k))
+            rows.append(llr_demap(tx, 0.0))
+        else:
+            rows.append(received_llr(code, info[k], snr, seed=seed + k))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("lead", [(), (6,), (2, 3)])
+def test_active_set_matches_trials_decoded_alone(lead):
+    code = build(kind="spc", n=3, m=2, L=8, B=4, seed=12)
+    llr = mixed_snr_llr(code)
+    cfg = DecoderConfig(delay=4, max_iters=30)
+    alone = np.stack([decode_sequence(code, row, cfg) for row in llr])
+    if lead == ():
+        # a lone trial against the same trial as a batch of one
+        got = np.stack([decode_sequence(code, row[None], cfg)[0]
+                        for row in llr])
+    else:
+        got = decode_sequence(code, llr.reshape(lead + llr.shape[1:]), cfg)
+    np.testing.assert_array_equal(got.reshape(alone.shape), alone)
+
+
+def test_window_active_set_exits_each_trial_at_its_own_fixed_point(
+        monkeypatch):
+    import bmst.window_decoder as wd
+
+    code = build(kind="spc", n=3, m=2, L=8, B=4, seed=12)
+    llr = mixed_snr_llr(code)
+    cfg = DecoderConfig(delay=4, max_iters=500)
+    width = cfg.delay + 1
+    siso_rows = []
+    siso = wd.siso_decode_basic
+
+    def counting_siso(basic, cw, *args, **kwargs):
+        siso_rows.append(int(np.prod(cw.shape[:-1])))
+        return siso(basic, cw, *args, **kwargs)
+
+    monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
+
+    bits, app, sweeps = [], [], []
+    for row in llr:
+        siso_rows.clear()
+        state = WindowState.create(code, cfg, row, 0)
+        b, a = decode_window(code, state, cfg)
+        bits.append(b)
+        app.append(a)
+        n, rest = divmod(len(siso_rows) - 1, width)
+        assert rest == 0
+        sweeps.append(n)
+    assert max(sweeps) < cfg.max_iters  # every trial exits early ...
+    assert len(set(sweeps)) > 2  # ... and at its own sweep
+
+    siso_rows.clear()
+    state = WindowState.create(code, cfg, llr, 0)
+    got_bits, got_app = decode_window(code, state, cfg)
+    np.testing.assert_array_equal(got_bits, np.stack(bits))
+    np.testing.assert_array_equal(got_app, np.stack(app))
+    # one SISO call per layer per sweep while any trial iterates, plus the
+    # final decision; a converged trial costs no further work
+    assert len(siso_rows) == 1 + max(sweeps) * width
+    assert sum(siso_rows) == len(llr) + width * sum(sweeps)
