@@ -5,41 +5,25 @@ codes, finite-length sliding-window BP decoding over the BPSK-AWGN
 channel, and MI-domain threshold analysis with a genie-aided BER bound.
 """
 
-from .basic_codes import (BasicCode, BerEstimate, SmallCode, ber_basic,
-                          cartesian, encode_basic, exit_transfer_c,
-                          make_small_code, siso_decode_basic)
-from .channel import (ChannelParams, bpsk_capacity_ebn0_db, channel_mi,
-                      ebn0_to_sigma, llr_demap, sigma_to_ebn0, transmit)
-from .encoder import (BmstCode, RateInfo, build_bmst, coupled_rate,
-                      coupling_matrix, encode_bmst, from_descriptor,
-                      generator_matrix, rate_bmst, to_descriptor)
-from .exit_engine import (BracketError, ConvergenceCheck, ExitRunResult,
-                          MiState, ThresholdQuery, ThresholdResult,
-                          ber_estimate, convergence_check, exit_window_run,
-                          genie_bound_ebn0_at_target, genie_lower_bound,
-                          mi_ap, mi_node_eq, mi_node_plus, threshold_search)
-from .jfun import jfun, jfun_quad, jinv, qfunc, qfunc_inv
-from .llr import LLR_CLIP, boxplus, boxplus_reduce, clip_llr
-from .window_decoder import (DecoderConfig, WindowState, decode_sequence,
-                             decode_window, node_eq_update, node_plus_update)
+from .basic_codes import ber_basic, cartesian, make_small_code
+from .channel import ebn0_to_sigma, llr_demap, transmit
+from .encoder import build_bmst, encode_bmst, generator_matrix, rate_bmst
+from .exit_engine import (BracketError, ThresholdQuery, ber_estimate,
+                          exit_window_run, genie_bound_ebn0_at_target,
+                          genie_lower_bound, mi_ap, threshold_search)
+from .jfun import jfun, jfun_quad, jinv
+from .window_decoder import DecoderConfig, decode_sequence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasicCode", "BerEstimate", "SmallCode", "ber_basic", "cartesian",
-    "encode_basic", "exit_transfer_c", "make_small_code", "siso_decode_basic",
-    "ChannelParams", "bpsk_capacity_ebn0_db", "channel_mi", "ebn0_to_sigma",
-    "llr_demap", "sigma_to_ebn0", "transmit",
-    "BmstCode", "RateInfo", "build_bmst", "coupled_rate", "coupling_matrix",
-    "encode_bmst", "from_descriptor", "generator_matrix", "rate_bmst",
-    "to_descriptor",
-    "BracketError", "ConvergenceCheck", "ExitRunResult", "MiState",
-    "ThresholdQuery", "ThresholdResult", "ber_estimate", "convergence_check",
-    "exit_window_run", "genie_bound_ebn0_at_target", "genie_lower_bound",
-    "mi_ap", "mi_node_eq", "mi_node_plus", "threshold_search",
-    "jfun", "jfun_quad", "jinv", "qfunc", "qfunc_inv",
-    "LLR_CLIP", "boxplus", "boxplus_reduce", "clip_llr",
-    "DecoderConfig", "WindowState", "decode_sequence", "decode_window",
-    "node_eq_update", "node_plus_update",
+    "ber_basic", "cartesian", "make_small_code",
+    "ebn0_to_sigma", "llr_demap", "transmit",
+    "build_bmst", "encode_bmst", "generator_matrix", "rate_bmst",
+    "BracketError", "ThresholdQuery", "ber_estimate", "exit_window_run",
+    "genie_bound_ebn0_at_target", "genie_lower_bound", "mi_ap",
+    "threshold_search",
+    "jfun", "jfun_quad", "jinv",
+    "DecoderConfig", "decode_sequence",
     "__version__",
 ]

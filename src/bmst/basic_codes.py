@@ -102,7 +102,7 @@ def encode_basic(code: BasicCode, info: np.ndarray) -> np.ndarray:
 
 def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
                       src_apriori: np.ndarray | None = None,
-                      clip: float = LLR_CLIP, assume_clipped: bool = False):
+                      assume_clipped: bool = False):
     """Exact symbol-MAP SISO decode, independently per block.
 
     ``cw_apriori`` carries N codeword-bit LLRs and ``src_apriori`` K source
@@ -114,14 +114,14 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
     if assume_clipped:
         cw = np.asarray(cw_apriori, dtype=float)
     else:
-        cw = clip_llr(np.asarray(cw_apriori, dtype=float), clip)
+        cw = clip_llr(np.asarray(cw_apriori, dtype=float))
     if cw.shape[-1] != code.N:
         raise ValueError(f"expected {code.N} codeword LLRs, got {cw.shape[-1]}")
     lead = cw.shape[:-1]
     if src_apriori is None:
         src = np.zeros(lead + (code.K,))
     else:
-        src = clip_llr(np.asarray(src_apriori, dtype=float), clip)
+        src = clip_llr(np.asarray(src_apriori, dtype=float))
         if src.shape[-1] != code.K:
             raise ValueError(f"expected {code.K} source LLRs, got {src.shape[-1]}")
     n, k, B = code.small.n, code.small.k, code.cart_order
@@ -139,15 +139,15 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         else:
             cw_sum = cwb.sum(axis=-1)
         total = srcb[..., 0] + cw_sum
-        ext = np.clip(total[..., None] - cwb, -clip, clip)
-        app = np.clip(total, -clip, clip)[..., None]
+        ext = np.clip(total[..., None] - cwb, -LLR_CLIP, LLR_CLIP)
+        app = np.clip(total, -LLR_CLIP, LLR_CLIP)[..., None]
     else:
         eff = cwb.copy()
         eff[..., :k] += srcb
         cols = [eff[..., j] for j in range(n)]
-        ext_cols = leave_one_out_boxplus(cols, clip)
+        ext_cols = leave_one_out_boxplus(cols)
         ext = np.stack(ext_cols, axis=-1)
-        app = np.clip(eff[..., :k] + ext[..., :k], -clip, clip)
+        app = np.clip(eff[..., :k] + ext[..., :k], -LLR_CLIP, LLR_CLIP)
     return ext.reshape(lead + (code.N,)), app.reshape(lead + (code.K,))
 
 
@@ -174,9 +174,6 @@ class BerEstimate:
     ber: float
     std_error: float
     bits: int = 0
-
-    def __float__(self) -> float:
-        return self.ber
 
 
 def ber_basic(code: BasicCode | SmallCode, ebn0_db: float, *,

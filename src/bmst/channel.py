@@ -9,7 +9,6 @@ run metadata for replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,26 +35,6 @@ def sigma_to_ebn0(sigma: float, rate: float) -> float:
     return 10.0 * math.log10(1.0 / (2.0 * rate * sigma * sigma))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Mutually consistent view of one operating point."""
-
-    ebn0_db: float
-    rate: float
-    sigma: float
-    es_n0: float
-
-    @classmethod
-    def from_ebn0(cls, ebn0_db: float, rate: float) -> "ChannelParams":
-        sigma = ebn0_to_sigma(ebn0_db, rate)
-        return cls(ebn0_db, rate, sigma, rate * 10.0 ** (ebn0_db / 10.0))
-
-    @classmethod
-    def from_sigma(cls, sigma: float, rate: float) -> "ChannelParams":
-        ebn0_db = sigma_to_ebn0(sigma, rate)
-        return cls(ebn0_db, rate, sigma, rate * 10.0 ** (ebn0_db / 10.0))
-
-
 def transmit(bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """BPSK-modulate bits (0 -> +1) and add white Gaussian noise."""
     if sigma < 0.0:
@@ -67,12 +46,12 @@ def transmit(bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.nda
     return symbols + sigma * rng.standard_normal(bits.shape)
 
 
-def llr_demap(y: np.ndarray, sigma: float, clip: float = LLR_CLIP) -> np.ndarray:
+def llr_demap(y: np.ndarray, sigma: float) -> np.ndarray:
     """Channel LLRs 2*y/sigma^2, clipped; sigma == 0 saturates by sign."""
     y = np.asarray(y, dtype=float)
     if sigma == 0.0:
-        return np.where(y >= 0.0, clip, -clip)
-    return np.clip(2.0 * y / (sigma * sigma), -clip, clip)
+        return np.where(y >= 0.0, LLR_CLIP, -LLR_CLIP)
+    return np.clip(2.0 * y / (sigma * sigma), -LLR_CLIP, LLR_CLIP)
 
 
 def channel_mi(ebn0_db: float, rate: float) -> float:

@@ -14,6 +14,11 @@ from .harness import ExperimentSpec, SpecError, run_spec
 
 _SUBCOMMANDS = ("ber", "threshold-vs-l", "threshold-vs-target", "bound", "encode")
 
+#: Flag names (dashes as underscores) a spec is built from; also the keys a
+#: config file may set.
+_SPEC_KEYS = ("code", "cart", "memory", "length", "delay", "max_iters", "seed",
+              "snr", "target_ber", "max_bits", "max_errors", "out")
+
 
 def _parse_code(text: str) -> tuple[str, int]:
     try:
@@ -46,16 +51,23 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read config file {path!r}: {exc}")
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SpecError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SpecError(f"config line without '=': {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _SPEC_KEYS:
+            raise SpecError(f"unknown key {key!r} in config file {path!r}; "
+                            f"accepted keys: {', '.join(_SPEC_KEYS)}")
+        values[key] = val
     return values
 
 
@@ -104,8 +116,7 @@ def spec_from_args(argv: list[str]) -> ExperimentSpec:
     values = dict(_DEFAULTS[args.command])
     if args.config:
         values.update(_read_config(args.config))
-    for key in ("code", "cart", "memory", "length", "delay", "max_iters",
-                "seed", "snr", "target_ber", "max_bits", "max_errors", "out"):
+    for key in _SPEC_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .basic_codes import BasicCode, cartesian, encode_basic, make_small_code
+from .basic_codes import BasicCode, encode_basic
 
 #: Identifier of the permutation-sampling scheme, recorded in run metadata.
 PERM_ALGORITHM = "fisher-yates/pcg64"
@@ -35,7 +35,6 @@ class BmstCode:
     perms: tuple[np.ndarray, ...]
     perms_inv: tuple[np.ndarray, ...]
     seed: int
-    identity_first: bool = False
 
     @property
     def N(self) -> int:
@@ -68,14 +67,6 @@ def coupled_rate(k: int, n: int, memory: int, coupling_len: int) -> Fraction:
     return Fraction(coupling_len * k, (coupling_len + memory) * n)
 
 
-def coupling_matrix(memory: int, coupling_len: int) -> np.ndarray:
-    """The banded L x (L+m) coupling pattern; every row has weight m+1."""
-    a = np.zeros((coupling_len, coupling_len + memory), dtype=np.uint8)
-    for i in range(coupling_len):
-        a[i, i:i + memory + 1] = 1
-    return a
-
-
 def _fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
     p = np.arange(n, dtype=np.int64)
     for i in range(n - 1, 0, -1):
@@ -84,24 +75,16 @@ def _fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
     return p
 
 
-def build_bmst(basic: BasicCode, memory: int, coupling_len: int, seed: int,
-               identity_first: bool = False) -> BmstCode:
-    """Draw the m+1 permutations from a seeded PCG64 stream and assemble.
-
-    ``identity_first`` forces the offset-0 permutation to the identity; the
-    default draws all m+1 uniformly at random.
-    """
+def build_bmst(basic: BasicCode, memory: int, coupling_len: int,
+               seed: int) -> BmstCode:
+    """Draw the m+1 permutations uniformly at random from a seeded PCG64
+    stream and assemble."""
     if memory < 0:
         raise ValueError(f"memory must be non-negative, got {memory}")
     if coupling_len < 1:
         raise ValueError(f"coupling length must be positive, got {coupling_len}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    perms = []
-    for i in range(memory + 1):
-        if i == 0 and identity_first:
-            perms.append(np.arange(basic.N, dtype=np.int64))
-        else:
-            perms.append(_fisher_yates(rng, basic.N))
+    perms = [_fisher_yates(rng, basic.N) for _ in range(memory + 1)]
     inv = []
     for p in perms:
         if np.any(np.bincount(p, minlength=basic.N) != 1):
@@ -109,8 +92,7 @@ def build_bmst(basic: BasicCode, memory: int, coupling_len: int, seed: int,
         q = np.empty_like(p)
         q[p] = np.arange(basic.N, dtype=np.int64)
         inv.append(q)
-    return BmstCode(basic, memory, coupling_len, tuple(perms), tuple(inv),
-                    seed, identity_first)
+    return BmstCode(basic, memory, coupling_len, tuple(perms), tuple(inv), seed)
 
 
 def rate_bmst(code: BmstCode) -> RateInfo:
@@ -154,26 +136,3 @@ def generator_matrix(code: BmstCode, max_entries: int = 50_000_000) -> sp.csr_ar
     grid = [[blocks[j - i] if 0 <= j - i <= m else None
              for j in range(L + m)] for i in range(L)]
     return sp.csr_array(sp.bmat(grid, format="csr", dtype=np.uint8))
-
-
-def to_descriptor(code: BmstCode) -> dict[str, str]:
-    """Flat text descriptor sufficient to rebuild the code bit-exactly."""
-    return {
-        "kind": code.basic.small.kind,
-        "n": str(code.basic.small.n),
-        "cart": str(code.basic.cart_order),
-        "memory": str(code.memory),
-        "length": str(code.coupling_len),
-        "seed": str(code.seed),
-        "identity_first": str(code.identity_first).lower(),
-        "perm_algorithm": PERM_ALGORITHM,
-    }
-
-
-def from_descriptor(desc: dict[str, str]) -> BmstCode:
-    """Rebuild a code from :func:`to_descriptor` output."""
-    small = make_small_code(desc["kind"], int(desc["n"]))
-    basic = cartesian(small, int(desc["cart"]))
-    return build_bmst(basic, int(desc["memory"]), int(desc["length"]),
-                      int(desc["seed"]),
-                      desc.get("identity_first", "false") == "true")

@@ -30,6 +30,9 @@ from .jfun import jfun, jinv, qfunc, qfunc_inv
 
 _INF = math.inf
 
+#: A window sweep that moves no MI message by more than this is a fixed point.
+FIXED_POINT_TOL = 1e-14
+
 
 def mi_ap(i_a: float, i_e: float) -> float:
     """A-posteriori MI from an a-priori/extrinsic pair: the underlying
@@ -52,30 +55,6 @@ def ber_estimate(i_ap: float) -> float:
     return qfunc(0.5 * sigma)
 
 
-def mi_node_plus(siblings, i_ch: float) -> float:
-    """Parity-node MI update: extrinsic MI toward one edge given the MI of
-    the m sibling edges and the channel half-edge (check-node duality)."""
-    _check_mi(i_ch, "i_ch")
-    total = jinv(1.0 - i_ch) ** 2
-    for s in siblings:
-        _check_mi(s, "sibling MI")
-        if s == 0.0:
-            return 0.0
-        total += jinv(1.0 - s) ** 2
-    return 1.0 - jfun(math.sqrt(total))
-
-
-def mi_node_eq(siblings) -> float:
-    """Equality-node MI update: variances of the sibling messages add."""
-    total = 0.0
-    for s in siblings:
-        _check_mi(s, "sibling MI")
-        if s == 1.0:
-            return 1.0
-        total += jinv(s) ** 2
-    return jfun(math.sqrt(total))
-
-
 @dataclass(frozen=True)
 class ConvergenceCheck:
     passed: bool
@@ -95,24 +74,6 @@ def _check_mi(x: float, name: str) -> None:
 
 
 @dataclass
-class MiState:
-    """Per-layer, per-offset scalar MI of the four edge classes.
-
-    ``eq_to_plus[t][i]`` is the MI of the message from the equality node of
-    layer t toward parity node t+i, ``plus_to_eq`` the reverse direction;
-    ``eq_to_c``/``c_to_eq`` sit on the code-constraint edge.  Layers before
-    time 0 or past the chain are known (MI 1); decided layers keep their
-    frozen values inside these same arrays.
-    """
-
-    eq_to_plus: list[list[float]]
-    plus_to_eq: list[list[float]]
-    eq_to_c: list[float]
-    c_to_eq: list[float]
-    i_ch: float
-
-
-@dataclass
 class ExitRunResult:
     success: bool
     fail_layer: int | None
@@ -121,36 +82,30 @@ class ExitRunResult:
     rate: float
     i_ch: float
     windows_computed: int
-    state: MiState | None = None
 
 
 def exit_window_run(small: SmallCode, memory: int, delay: int,
                     coupling_len: int, ebn0_db: float, target_ber: float,
-                    i_max: int = 1000, *, fixed_point_tol: float = 1e-14,
-                    steady_state_shortcut: bool = True,
-                    freeze_mode: str = "freeze",
-                    keep_state: bool = False) -> ExitRunResult:
+                    i_max: int = 1000, *,
+                    steady_state_shortcut: bool = True) -> ExitRunResult:
     """Slide the MI-domain window over all L target layers.
 
     All full-edge MI start at 0, channel half-edges at the channel MI of
     the coupled rate, source half-edges at 0.  Each window position runs up
     to ``i_max`` sweeps of the layer schedule (a sweep that no longer moves
-    any message by more than ``fixed_point_tol`` is a fixed point and ends
+    any message by more than ``FIXED_POINT_TOL`` is a fixed point and ends
     the window early), then applies the convergence check at the target
     layer.  On success the target layer's outgoing MI freeze at their final
-    values (or snap to 1 with ``freeze_mode="perfect"``) and the window
-    shifts; on failure the run stops.
+    values and the window shifts; on failure the run stops.
 
     Mid-chain windows repeat verbatim once their frozen inputs stop
     changing; ``steady_state_shortcut`` detects that and skips ahead, which
-    is an exact shortcut up to ``fixed_point_tol``.
+    is an exact shortcut up to ``FIXED_POINT_TOL``.
     """
     if memory < 0 or coupling_len < 1 or delay < 0:
         raise ValueError("need memory >= 0, coupling_len >= 1, delay >= 0")
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target BER must lie in (0, 0.5), got {target_ber}")
-    if freeze_mode not in ("freeze", "perfect"):
-        raise ValueError(f"unknown freeze mode {freeze_mode!r}")
     m, d, L = memory, delay, coupling_len
     rate = float(coupled_rate(small.k, small.n, m, L))
     i_ch = channel_mi(ebn0_db, rate)
@@ -161,8 +116,6 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     w_epm = [[_INF] * q for _ in range(L)]
     ppm = [[0.0] * q for _ in range(L)]
     v_ppm = [[0.0] * q for _ in range(L)]
-    eq_to_c = [0.0] * L
-    c_to_eq = [0.0] * L
     p_trace = np.full(L, np.nan)
 
     # Module attributes are looked up once per run, so a wrapped jfun, jinv
@@ -170,7 +123,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     j_fun, j_inv, transfer = jfun, jinv, exit_transfer_c
     sqrt = math.sqrt
     inf = _INF
-    tol = fixed_point_tol
+    tol = FIXED_POINT_TOL
 
     def plus_plan(s: int, t: int, t_end: int):
         """Parity node s in window [t, t_end]: how many of its edges carry
@@ -230,10 +183,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         total = 0.0
         for vi in v:
             total += vi
-        i_a = j_fun(sqrt(total))
-        i_e = transfer(small, i_a)
-        eq_to_c[tp] = i_a
-        c_to_eq[tp] = i_e
+        i_e = transfer(small, j_fun(sqrt(total)))
         v_c = j_inv(i_e) ** 2
         row = epm[tp]
         wrow = w_epm[tp]
@@ -267,10 +217,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         for vi in v_ppm[t]:
             total += vi
         i_a = j_fun(sqrt(total))
-        i_e = transfer(small, i_a)
-        eq_to_c[t] = i_a
-        c_to_eq[t] = i_e
-        return convergence_check(i_a, i_e, target_ber)
+        return convergence_check(i_a, transfer(small, i_a), target_ber)
 
     def snapshot_band(t: int, t_end: int):
         band = []
@@ -291,21 +238,16 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         p_trace[t] = check.p_est
         if not check.passed:
             return ExitRunResult(False, t, p_trace, ebn0_db, rate, i_ch,
-                                 windows, _collect_state(
-                                     epm, ppm, eq_to_c, c_to_eq, i_ch,
-                                     keep_state))
-        if freeze_mode == "perfect":
-            epm[t] = [1.0] * q
-            w_epm[t] = [0.0] * q
+                                 windows)
         t_end = min(t + d, L - 1)
         mid_chain = m + 1 <= t <= last_mid and t_end == t + d
         if steady_state_shortcut and mid_chain:
             band = snapshot_band(t, t_end)
             if (prev_band is not None and prev_p is not None
                     and t + 1 <= last_mid
-                    and abs(check.p_est - prev_p) <= fixed_point_tol
+                    and abs(check.p_est - prev_p) <= tol
                     and len(band) == len(prev_band)
-                    and all(abs(a - b) <= fixed_point_tol
+                    and all(abs(a - b) <= tol
                             for a, b in zip(band, prev_band))):
                 # Every window up to last_mid will repeat this one verbatim.
                 saved = [(list(epm[t + r]), list(w_epm[t + r]),
@@ -327,16 +269,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
             prev_band = band
             prev_p = check.p_est
         t += 1
-    return ExitRunResult(True, None, p_trace, ebn0_db, rate, i_ch, windows,
-                         _collect_state(epm, ppm, eq_to_c, c_to_eq, i_ch,
-                                        keep_state))
-
-
-def _collect_state(epm, ppm, eq_to_c, c_to_eq, i_ch, keep: bool):
-    if not keep:
-        return None
-    return MiState([list(r) for r in epm], [list(r) for r in ppm],
-                   list(eq_to_c), list(c_to_eq), i_ch)
+    return ExitRunResult(True, None, p_trace, ebn0_db, rate, i_ch, windows)
 
 
 class BracketError(RuntimeError):
@@ -375,7 +308,7 @@ class ThresholdResult:
     evaluations: list[tuple[float, bool]] = field(default_factory=list)
 
 
-def threshold_search(query: ThresholdQuery, **run_kwargs) -> ThresholdResult:
+def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     """Bisect Eb/N0 to the query resolution; the returned value is the
     smallest tested point that succeeds.
 
@@ -388,7 +321,7 @@ def threshold_search(query: ThresholdQuery, **run_kwargs) -> ThresholdResult:
     def succeeds(db: float) -> bool:
         res = exit_window_run(query.small, query.memory, query.delay,
                               query.coupling_len, db, query.target_ber,
-                              query.i_max, **run_kwargs)
+                              query.i_max)
         evals.append((db, res.success))
         return res.success
 

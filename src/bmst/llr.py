@@ -2,8 +2,8 @@
 
 Convention: positive LLR favors bit 0.  All messages are clipped to
 ``+/- LLR_CLIP``; at that magnitude ``tanh(LLR/2)`` rounds to ``+/-1`` in
-double precision, so clipped values behave as exact certainties inside
-``boxplus`` (``boxplus(x, LLR_CLIP) == x``).
+double precision, so clipped values behave as exact certainties inside the
+parity-check combine (a certain input passes the others through).
 """
 
 from __future__ import annotations
@@ -14,55 +14,19 @@ import numpy as np
 LLR_CLIP = 50.0
 
 
-def clip_llr(x, clip: float = LLR_CLIP):
-    """Clip LLRs to ``[-clip, clip]``; non-finite inputs map to the bounds."""
-    return np.clip(np.nan_to_num(x, nan=0.0, posinf=clip, neginf=-clip), -clip, clip)
+def clip_llr(x):
+    """Clip LLRs to ``[-LLR_CLIP, LLR_CLIP]``; non-finite inputs map to the
+    bounds."""
+    return np.clip(np.nan_to_num(x, nan=0.0, posinf=LLR_CLIP, neginf=-LLR_CLIP),
+                   -LLR_CLIP, LLR_CLIP)
 
 
-def boxplus(a, b, clip: float = LLR_CLIP):
-    """Check-node combine 2*atanh(tanh(a/2)*tanh(b/2)), saturated at ``clip``.
+def leave_one_out_boxplus(terms, needed=None):
+    """For q input arrays return q outputs, the parity-check combine of all
+    other inputs: out[i] = 2*atanh(prod over j != i of tanh(terms[j]/2)).
 
-    Where the tanh product approaches +/-1 the evaluation switches to the
-    exact max-log-plus-correction form, and an operand whose tanh has fully
-    saturated (magnitude about 38 and beyond) acts as a certainty and passes
-    the other operand through.  ``boxplus(x, 0) == 0`` exactly.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ta = np.tanh(a * 0.5)
-    tb = np.tanh(b * 0.5)
-    t = ta * tb
-    with np.errstate(divide="ignore"):
-        r = 2.0 * np.arctanh(t)
-    near = np.abs(t) > 1.0 - 1e-9
-    if np.any(near):
-        sat_a = np.abs(ta) == 1.0
-        sat_b = np.abs(tb) == 1.0
-        exact = (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-                 + np.log1p(np.exp(-np.abs(a + b)))
-                 - np.log1p(np.exp(-np.abs(a - b))))
-        exact = np.where(sat_a, np.sign(ta) * b, exact)
-        exact = np.where(sat_b, np.sign(tb) * a, exact)
-        exact = np.where(sat_a & sat_b, np.sign(t) * clip, exact)
-        r = np.where(near, exact, r)
-    return np.clip(r, -clip, clip)
-
-
-def boxplus_reduce(terms, clip: float = LLR_CLIP):
-    """Boxplus of a sequence of LLR arrays; empty input means certainty."""
-    if len(terms) == 0:
-        raise ValueError("boxplus_reduce needs at least one term")
-    acc = np.asarray(terms[0], dtype=float)
-    for t in terms[1:]:
-        acc = boxplus(acc, t, clip)
-    return acc
-
-
-def leave_one_out_boxplus(terms, clip: float = LLR_CLIP, needed=None):
-    """For q input arrays return q outputs, out[i] = boxplus of all j != i.
-
-    Uses prefix/suffix products in the tanh domain so the cost stays linear
-    in q.  With a single input the output is full certainty (``clip``).
+    Prefix/suffix products in the tanh domain keep the cost linear in q.
+    With a single input the output is full certainty (``LLR_CLIP``).
     ``needed`` optionally restricts which output indices are materialized
     (the rest are None).
     """
@@ -77,22 +41,7 @@ def leave_one_out_boxplus(terms, clip: float = LLR_CLIP, needed=None):
     with np.errstate(divide="ignore"):
         for i in range(q - 1, -1, -1):
             if i in want:
-                outs[i] = np.clip(2.0 * np.arctanh(prefix[i] * suffix), -clip, clip)
+                outs[i] = np.clip(2.0 * np.arctanh(prefix[i] * suffix),
+                                  -LLR_CLIP, LLR_CLIP)
             suffix = suffix * th[i]
-    return outs
-
-
-def leave_one_out_sum(terms, clip: float = LLR_CLIP):
-    """For q input arrays return q outputs, out[i] = sum of all j != i."""
-    q = len(terms)
-    outs = []
-    for i in range(q):
-        acc = None
-        for j in range(q):
-            if j == i:
-                continue
-            acc = np.asarray(terms[j], dtype=float) if acc is None else acc + terms[j]
-        if acc is None:
-            acc = np.zeros(np.shape(terms[i]))
-        outs.append(np.clip(acc, -clip, clip))
     return outs

@@ -30,7 +30,7 @@ import numpy as np
 
 from .basic_codes import encode_basic, siso_decode_basic
 from .encoder import BmstCode
-from .llr import LLR_CLIP, leave_one_out_boxplus, leave_one_out_sum
+from .llr import LLR_CLIP, leave_one_out_boxplus
 
 
 @dataclass
@@ -39,34 +39,12 @@ class DecoderConfig:
 
     delay: int
     max_iters: int = 50
-    llr_clip: float = LLR_CLIP
-    sweep: str = "forward"  # or "forward-backward"
 
     def __post_init__(self) -> None:
         if self.delay < 0:
             raise ValueError(f"delay must be non-negative, got {self.delay}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.sweep not in ("forward", "forward-backward"):
-            raise ValueError(f"unknown sweep mode {self.sweep!r}")
-
-
-def node_plus_update(incoming, channel_llr, clip: float = LLR_CLIP):
-    """Parity-node update: extrinsic to edge i combines the channel LLR and
-    every other incoming edge through boxplus."""
-    outs = leave_one_out_boxplus([channel_llr, *incoming], clip)
-    return outs[1:]
-
-
-def node_eq_update(incoming, from_c, clip: float = LLR_CLIP):
-    """Equality-node update: every outgoing message is the sum of all
-    incoming messages except the one on its own edge.
-
-    Returns ``(to_plus, to_c)`` where ``to_plus[i]`` answers the i-th parity
-    edge and ``to_c`` the code-constraint edge.
-    """
-    louts = leave_one_out_sum([*incoming, from_c], clip)
-    return louts[:len(incoming)], louts[len(incoming)]
 
 
 @dataclass
@@ -140,10 +118,10 @@ def _local(x: np.ndarray, start: int, stop: int, trials: int) -> np.ndarray:
 
 
 def _edge_out(code: BmstCode, state: WindowState, act: _ActiveRows, x: int,
-              i: int, clip: float):
+              i: int):
     """Message from the equality node of layer x toward parity node x+i."""
     if x < 0 or x >= code.coupling_len:
-        return clip  # termination: known all-zero codeword
+        return LLR_CLIP  # termination: known all-zero codeword
     if x < state.position:
         return act.feedback[x - state.position]
     if x > state.layer_end:
@@ -151,8 +129,8 @@ def _edge_out(code: BmstCode, state: WindowState, act: _ActiveRows, x: int,
     return act.epm[x - state.position, i]
 
 
-def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows, s: int,
-               clip: float) -> None:
+def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows,
+               s: int) -> None:
     """Update parity node of block s; write extrinsics to in-window layers."""
     m = code.memory
     t, t_end = state.position, state.layer_end
@@ -160,7 +138,7 @@ def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows, s: int,
     receivers = []
     for j in range(m + 1):
         x = s - j
-        val = _edge_out(code, state, act, x, j, clip)
+        val = _edge_out(code, state, act, x, j)
         if isinstance(val, float):
             terms.append(val)
         else:
@@ -169,41 +147,34 @@ def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows, s: int,
             receivers.append(j)
     if not receivers:
         return
-    outs = leave_one_out_boxplus(terms, clip, needed=[j + 1 for j in receivers])
+    outs = leave_one_out_boxplus(terms, needed=[j + 1 for j in receivers])
     for j in receivers:
         act.ppm[s - j - t, j] = outs[j + 1][..., code.perms_inv[j]]
 
 
-def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows, tp: int,
-               clip: float) -> None:
+def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows,
+               tp: int) -> None:
     """Equality and code-constraint updates of layer tp."""
     m = code.memory
     wi = tp - state.position
     inc = act.ppm[wi]
     total = inc.sum(axis=0)
-    to_c = np.clip(total, -clip, clip)
-    from_c, _ = siso_decode_basic(code.basic, to_c, clip=clip,
-                                  assume_clipped=True)
+    to_c = np.clip(total, -LLR_CLIP, LLR_CLIP)
+    from_c, _ = siso_decode_basic(code.basic, to_c, assume_clipped=True)
     for i in range(m + 1):
-        act.epm[wi, i] = np.clip(total - inc[i] + from_c, -clip, clip)
+        act.epm[wi, i] = np.clip(total - inc[i] + from_c, -LLR_CLIP, LLR_CLIP)
 
 
-def _iterate(code: BmstCode, state: WindowState, act: _ActiveRows,
-             config: DecoderConfig) -> None:
+def _iterate(code: BmstCode, state: WindowState, act: _ActiveRows) -> None:
+    """One forward sweep: each window layer's parity then equality/code
+    node, followed by the tail parity nodes the window reaches."""
     L, m = code.coupling_len, code.memory
-    clip = config.llr_clip
-    layers = range(state.position, state.layer_end + 1)
-    tail_plus = range(max(state.layer_end + 1, L),
-                      min(state.layer_end + m, L + m - 1) + 1)
-    for tp in layers:
-        _plus_node(code, state, act, tp, clip)
-        _eq_c_node(code, state, act, tp, clip)
-    for s in tail_plus:
-        _plus_node(code, state, act, s, clip)
-    if config.sweep == "forward-backward":
-        for tp in reversed(layers):
-            _plus_node(code, state, act, tp, clip)
-            _eq_c_node(code, state, act, tp, clip)
+    for tp in range(state.position, state.layer_end + 1):
+        _plus_node(code, state, act, tp)
+        _eq_c_node(code, state, act, tp)
+    for s in range(max(state.layer_end + 1, L),
+                   min(state.layer_end + m, L + m - 1) + 1):
+        _plus_node(code, state, act, s)
 
 
 def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
@@ -220,7 +191,6 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     """
     L, m, N = code.coupling_len, code.memory, code.N
     t = state.position
-    clip = config.llr_clip
     lead = state.channel_llr.shape[:-2]
     trials = math.prod(lead)
     w = state.layer_end - t + 1
@@ -234,7 +204,7 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     for _ in range(config.max_iters):
         prev_epm = act.epm.copy()
         prev_ppm = act.ppm.copy()
-        _iterate(code, state, act, config)
+        _iterate(code, state, act)
         moving = ~((act.epm == prev_epm).all(axis=(0, 1, 3))
                    & (act.ppm == prev_ppm).all(axis=(0, 1, 3)))
         if not moving.all():
@@ -249,8 +219,8 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     state.epm = epm.reshape(state.epm.shape)
     state.ppm = ppm.reshape(state.ppm.shape)
     total = ppm[0].sum(axis=0)
-    _, info_app = siso_decode_basic(code.basic, np.clip(total, -clip, clip),
-                                    clip=clip, assume_clipped=True)
+    _, info_app = siso_decode_basic(
+        code.basic, np.clip(total, -LLR_CLIP, LLR_CLIP), assume_clipped=True)
     info_app = info_app.reshape(lead + (code.K,))
     bits = (info_app < 0).astype(np.uint8)
     return bits, info_app
@@ -281,6 +251,6 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
         state = WindowState.create(code, config, llr, t, feedback)
         bits, _ = decode_window(code, state, config)
         decisions[:, t] = bits
-        feedback[:, t] = config.llr_clip * (
+        feedback[:, t] = LLR_CLIP * (
             1.0 - 2.0 * encode_basic(code.basic, bits))
     return decisions.reshape(lead + (L * K,))

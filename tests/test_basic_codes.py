@@ -178,7 +178,7 @@ class TestSiso:
     def test_spc_nonzero_source_definition(self):
         # extrinsic to bit j is the boxplus of the other effective LLRs,
         # where systematic bits fold their source prior in
-        from bmst.llr import boxplus_reduce
+        from llr_oracles import boxplus_reduce
         code = cartesian(make_small_code("spc", 4), 1)
         cw = np.array([1.5, -2.0, 0.75, 3.0])
         src = np.array([0.5, -1.0, 2.0])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bmst.channel import (ChannelParams, bpsk_capacity_ebn0_db, channel_mi,
-                          ebn0_to_sigma, llr_demap, sigma_to_ebn0, transmit)
+from bmst.channel import (bpsk_capacity_ebn0_db, channel_mi, ebn0_to_sigma,
+                          llr_demap, sigma_to_ebn0, transmit)
 from bmst.jfun import jfun_quad
 
 
@@ -29,14 +29,6 @@ def test_rate_domain():
         ebn0_to_sigma(0.0, 0.0)
     with pytest.raises(ValueError):
         ebn0_to_sigma(0.0, 1.5)
-
-
-def test_channel_params_consistent():
-    p = ChannelParams.from_ebn0(2.0, 0.5)
-    assert p.sigma == pytest.approx(ebn0_to_sigma(2.0, 0.5))
-    assert p.es_n0 == pytest.approx(0.5 * 10.0 ** 0.2)
-    q = ChannelParams.from_sigma(p.sigma, 0.5)
-    assert q.ebn0_db == pytest.approx(2.0, abs=1e-12)
 
 
 def test_transmit_noiseless():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,43 @@ def test_cli_stdout_default(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# bmst-csv")
     assert "coded" in out
+
+
+def test_config_file_missing_exit_2(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main(["ber", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid spec:" in err and str(missing) in err
+
+
+@pytest.mark.parametrize("line", ["memroy=2", "max-iters=7"])
+def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    # a tiny spec, so a run that ignored the key would end at once
+    cfg.write_text(f"code=rc:2\ncart=2\nmemory=1\nlength=2\nsnr=5:5:1\n"
+                   f"max_bits=64\n{line}\n")
+    assert main(["ber", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid spec:" in err
+    assert repr(line.split("=")[0]) in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "encode_spc4.csv": "encode --code spc:4 --cart 3 --memory 2 --length 5 "
+                       "--seed 9",
+    "bound_rc2.csv": "bound --code rc:2 --memory 0,1,2 --length 10,1000 "
+                     "--snr 0:4:2",
+    "bound_spc4.csv": "bound --code spc:4 --memory 0,2 --length 50 "
+                      "--snr 1:3:2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_data_rows_match_golden(capsys, name):
+    # pins the permutation draws, the encoder and the bound's numbers
+    assert main(GOLDEN_RUNS[name].split()) == 0
+    out = capsys.readouterr().out
+    rows = "".join(line + "\n" for line in out.splitlines()
+                   if not line.startswith("#"))
+    assert rows.encode() == (GOLDEN / name).read_bytes()

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bmst.basic_codes import cartesian, make_small_code
-from bmst.encoder import (build_bmst, coupled_rate, coupling_matrix,
-                          encode_bmst, from_descriptor, generator_matrix,
-                          rate_bmst, to_descriptor)
+from bmst.encoder import (build_bmst, coupled_rate, encode_bmst,
+                          generator_matrix, rate_bmst)
 
 
 def small_rc2(B=2):
@@ -29,11 +28,6 @@ class TestBuild:
         c = build_bmst(small_rc2(50), 2, 5, seed=124)
         assert any(not np.array_equal(pa, pc)
                    for pa, pc in zip(a.perms, c.perms))
-
-    def test_identity_first_flag(self):
-        code = build_bmst(small_rc2(30), 1, 4, seed=3, identity_first=True)
-        np.testing.assert_array_equal(code.perms[0], np.arange(code.N))
-        assert not np.array_equal(code.perms[1], np.arange(code.N))
 
     def test_degenerate_memory_zero(self):
         code = build_bmst(small_rc2(1), 0, 1, seed=1)
@@ -75,16 +69,6 @@ class TestRate:
             code = build_bmst(basic, m, L, seed=int(rng.integers(1 << 30)))
             assert rate_bmst(code).fraction == Fraction(L * basic.K,
                                                         (L + m) * basic.N)
-
-
-def test_coupling_matrix_row_weight():
-    for m, L in [(0, 4), (2, 6), (3, 3)]:
-        a = coupling_matrix(m, L)
-        assert a.shape == (L, L + m)
-        assert np.all(a.sum(axis=1) == m + 1)
-        # banded: row i covers columns i..i+m
-        for i in range(L):
-            assert np.all(a[i, i:i + m + 1] == 1)
 
 
 class TestEncode:
@@ -175,14 +159,3 @@ def test_production_scale_configuration():
     tx = encode_bmst(code, info)
     assert tx.shape == (1008, 10000)
     assert rate_bmst(code).fraction == Fraction(1000 * 5000, 1008 * 10000)
-
-
-def test_descriptor_round_trip():
-    code = build_bmst(cartesian(make_small_code("spc", 4), 7), 2, 9, seed=31337,
-                      identity_first=True)
-    desc = to_descriptor(code)
-    twin = from_descriptor(desc)
-    assert twin.memory == code.memory and twin.coupling_len == code.coupling_len
-    assert twin.basic.small.kind == "spc" and twin.basic.cart_order == 7
-    for p, q in zip(code.perms, twin.perms):
-        np.testing.assert_array_equal(p, q)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bmst.basic_codes import ber_basic, make_small_code
+from bmst.basic_codes import ber_basic, exit_transfer_c, make_small_code
 from bmst.channel import channel_mi, ebn0_to_sigma
 from bmst.exit_engine import (BracketError, ThresholdQuery, ber_estimate,
                               convergence_check, exit_window_run,
                               genie_bound_ebn0_at_target, genie_lower_bound,
-                              mi_ap, mi_node_eq, mi_node_plus,
-                              threshold_search)
-from bmst.jfun import qfunc, qfunc_inv
+                              mi_ap, threshold_search)
+from bmst.jfun import jfun, jinv, qfunc, qfunc_inv
 
 RC2 = make_small_code("rc", 2)
 SPC4 = make_small_code("spc", 4)
@@ -44,39 +43,6 @@ class TestBerEstimate:
         grid = np.linspace(0.0, 1.0, 400)
         vals = [ber_estimate(float(x)) for x in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-class TestMiNodes:
-    def test_plus_zero_sibling_destroys(self):
-        assert mi_node_plus([0.0, 0.9], 0.99) == 0.0
-
-    def test_plus_perfect_siblings_reveal_channel(self):
-        for ich in (0.2, 0.55, 0.93):
-            assert mi_node_plus([1.0, 1.0], ich) == pytest.approx(ich, abs=1e-8)
-
-    def test_plus_dead_channel(self):
-        assert mi_node_plus([0.9, 0.8], 0.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_eq_single_identity(self):
-        for x in (0.0, 0.42, 0.97):
-            assert mi_node_eq([x]) == pytest.approx(x, abs=1e-8)
-
-    def test_eq_perfect_dominates(self):
-        assert mi_node_eq([0.2, 1.0, 0.1]) == 1.0
-
-    def test_monotone(self):
-        grid = np.linspace(0.0, 1.0, 60)
-        plus_vals = [mi_node_plus([float(x), 0.7], 0.8) for x in grid]
-        eq_vals = [mi_node_eq([float(x), 0.3]) for x in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(plus_vals, plus_vals[1:]))
-        assert all(b >= a - 1e-12 for a, b in zip(eq_vals, eq_vals[1:]))
-
-    def test_duality_self_consistency(self):
-        for m in (1, 2, 3):
-            for a in (0.15, 0.5, 0.85):
-                plus = mi_node_plus([a] * m, a)
-                dual = 1.0 - mi_node_eq([1.0 - a] * (m + 1))
-                assert plus == pytest.approx(dual, abs=1e-10)
 
 
 class TestConvergenceCheck:
@@ -126,21 +92,58 @@ class TestExitWindowRun:
         res = exit_window_run(SPC4, 1, 3, 50, 14.0, 1e-7)
         assert res.success
 
-    def test_perfect_freeze_mode_is_more_optimistic(self):
-        g = 2.2
-        frozen = exit_window_run(RC2, 1, 3, 200, g, 1e-2, freeze_mode="freeze")
-        perfect = exit_window_run(RC2, 1, 3, 200, g, 1e-2, freeze_mode="perfect")
-        ok_frozen = np.nanmax(frozen.p_est) if frozen.success else math.inf
-        ok_perfect = np.nanmax(perfect.p_est) if perfect.success else math.inf
-        assert ok_perfect <= ok_frozen
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_single_layer_matches_genie_bound(self, n, m):
+        # At L=1 every parity node's other edges carry known codewords, so
+        # each passes the channel MI; the equality node adds m+1 of them and
+        # the code node n-1 more.  That is the genie's n(m+1)-fold repetition
+        # at the rate 1/(n(m+1)), whose BER is the basic code's at the same
+        # Eb/N0: Q(sqrt(2 Eb/N0)).
+        small = make_small_code("rc", n)
+        for g in (-1.0, 0.5, 2.0, 4.0):
+            res = exit_window_run(small, m, 3 * m, 1, g, 1e-3)
+            want = genie_lower_bound(small, m, 1, g).ber
+            assert res.p_est[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_sweeps_unrolled(self, n):
+        # m=1, d=1, L=2, stopped after i_max=2 sweeps.  A sweep runs parity
+        # node 0, layer 0's equality and code nodes, parity node 1, layer
+        # 1's equality and code nodes, then the tail parity node 2.  In
+        # sweep 2 parity node 1 answers layer 0 with what layer 1's
+        # equality node sent it in sweep 1, so both equality nodes' outputs
+        # and both code nodes reach p_est[0].
+        small = make_small_code("rc", n)
+
+        def var(mi):  # variance of a message toward an equality node
+            return jinv(mi) ** 2
+
+        def weight(mi):  # weight of a message toward a parity node
+            return jinv(1.0 - mi) ** 2
+
+        def code(total):  # code-node extrinsic variance from the eq total
+            return var(exit_transfer_c(small, jfun(math.sqrt(total))))
+
+        for g in (0.0, 2.0, 4.0):
+            w_ch = weight(channel_mi(g, 2.0 / (3 * n)))
+            v00 = var(1.0 - jfun(math.sqrt(w_ch)))  # parity 0: channel only
+            w01 = weight(jfun(math.sqrt(v00 + code(v00))))  # layer 0 out
+            # parity 1 -> layer 1; toward layer 0 it sends MI 0 in sweep 1,
+            # as layer 1 has not spoken yet
+            v10 = var(1.0 - jfun(math.sqrt(w_ch + w01)))
+            w10 = weight(jfun(math.sqrt(code(v10))))  # layer 1 -> parity 1
+            v01 = var(1.0 - jfun(math.sqrt(w_ch + w10)))  # sweep 2
+            i_a = jfun(math.sqrt(v00 + v01))
+            want = ber_estimate(mi_ap(i_a, exit_transfer_c(small, i_a)))
+            res = exit_window_run(small, 1, 1, 2, g, 1e-3, i_max=2)
+            assert res.p_est[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             exit_window_run(RC2, -1, 3, 10, 5.0, 1e-3)
         with pytest.raises(ValueError):
             exit_window_run(RC2, 1, 3, 10, 5.0, 0.7)
-        with pytest.raises(ValueError):
-            exit_window_run(RC2, 1, 3, 10, 5.0, 1e-3, freeze_mode="reset")
 
 
 class TestThresholdSearch:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bmst.llr import (LLR_CLIP, boxplus, boxplus_reduce, clip_llr,
-                      leave_one_out_boxplus, leave_one_out_sum)
+from bmst.llr import LLR_CLIP, clip_llr, leave_one_out_boxplus
+from llr_oracles import boxplus, boxplus_reduce
 
 
 def boxplus_logdomain(a, b):
@@ -69,14 +69,6 @@ def test_leave_one_out_boxplus_needed_subset():
     assert outs[0] is None and outs[1] is None and outs[3] is None
     rest = [terms[0], terms[1], terms[3]]
     np.testing.assert_allclose(outs[2], boxplus_reduce(rest), atol=1e-9)
-
-
-def test_leave_one_out_sum_exact():
-    terms = [np.array([1.0, 2.0]), np.array([-4.0, 0.25]), np.array([10.0, 3.5])]
-    outs = leave_one_out_sum(terms, clip=1e9)
-    for i in range(3):
-        expect = sum(t for j, t in enumerate(terms) if j != i)
-        np.testing.assert_array_equal(outs[i], expect)
 
 
 def test_clip_llr_handles_nonfinite():

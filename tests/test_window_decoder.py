@@ -6,9 +6,9 @@ import pytest
 from bmst.basic_codes import ber_basic, cartesian, encode_basic, make_small_code
 from bmst.channel import ebn0_to_sigma, llr_demap, transmit
 from bmst.encoder import build_bmst, rate_bmst
+from bmst.llr import leave_one_out_boxplus
 from bmst.window_decoder import (DecoderConfig, WindowState, decode_sequence,
-                                 decode_window, node_eq_update,
-                                 node_plus_update)
+                                 decode_window)
 
 
 def build(kind="rc", n=2, B=4, m=1, L=6, seed=9):
@@ -30,43 +30,79 @@ def encode_bmst_all(code, info):
     return np.stack([encode_bmst(code, row) for row in info])
 
 
+def plus_node(incoming, channel_llr):
+    """Parity-node extrinsics toward the incoming edges, computed by the call
+    the window decoder makes: the channel LLR is term 0."""
+    return leave_one_out_boxplus([channel_llr, *incoming])[1:]
+
+
 class TestNodePlus:
     def test_single_edge_passes_channel(self):
         ch = np.array([1.5, -2.0])
-        (out,) = node_plus_update([np.array([0.7, 0.1])], ch)
+        (out,) = plus_node([np.array([0.7, 0.1])], ch)
         np.testing.assert_allclose(out, ch, atol=1e-12)
 
     def test_zero_sibling_absorbs(self):
         ch = np.array([3.0, -1.0])
-        outs = node_plus_update([np.zeros(2), np.array([2.0, 2.0])], ch)
+        outs = plus_node([np.zeros(2), np.array([2.0, 2.0])], ch)
         np.testing.assert_array_equal(outs[1], 0.0)
 
     def test_saturated_siblings_reveal_channel(self):
         ch = np.array([0.25, -7.0])
-        outs = node_plus_update([np.full(2, 50.0), np.full(2, 50.0)], ch)
+        outs = plus_node([np.full(2, 50.0), np.full(2, 50.0)], ch)
         for out in outs:
             np.testing.assert_allclose(out, ch, atol=1e-12)
 
 
+def eq_node(code, incoming, monkeypatch):
+    """Run the window decoder's equality and code node of layer 0 on the
+    parity-edge messages ``incoming`` (m+1 arrays of N LLRs).
+
+    Returns ``(to_plus, to_c, from_c)``: the messages toward the parity
+    nodes, the message the code node received and the one it answered.
+    """
+    import bmst.window_decoder as wd
+
+    cfg = DecoderConfig(delay=0)
+    state = WindowState.create(
+        code, cfg, np.zeros((code.coupling_len + code.memory, code.N)), 0)
+    shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
+    act = wd._ActiveRows(np.arange(1), None, None, np.zeros(shape),
+                         np.stack(incoming).reshape(shape))
+    seen = []
+    siso = wd.siso_decode_basic
+
+    def recording_siso(basic, cw, *args, **kwargs):
+        out = siso(basic, cw, *args, **kwargs)
+        seen.append((cw.copy(), out[0].copy()))
+        return out
+
+    monkeypatch.setattr(wd, "siso_decode_basic", recording_siso)
+    wd._eq_c_node(code, state, act, 0)
+    ((to_c, from_c),) = seen
+    return act.epm[0, :, 0], to_c[0], from_c[0]
+
+
 class TestNodeEq:
-    def test_memory_zero_swap(self):
-        inc = [np.array([1.0, -2.0])]
-        from_c = np.array([0.5, 0.5])
-        to_plus, to_c = node_eq_update(inc, from_c)
-        np.testing.assert_array_equal(to_c, inc[0])
+    def test_memory_zero_swap(self, monkeypatch):
+        code = build(kind="spc", n=2, B=1, m=0, L=2)
+        inc = np.array([1.0, -2.0])
+        to_plus, to_c, from_c = eq_node(code, [inc], monkeypatch)
+        np.testing.assert_array_equal(to_c, inc)
         np.testing.assert_array_equal(to_plus[0], from_c)
 
-    def test_all_zero(self):
-        inc = [np.zeros(3) for _ in range(3)]
-        to_plus, to_c = node_eq_update(inc, np.zeros(3))
-        assert all(np.all(x == 0.0) for x in to_plus)
+    def test_all_zero(self, monkeypatch):
+        code = build(kind="spc", n=3, B=1, m=2, L=3)
+        to_plus, to_c, _ = eq_node(code, [np.zeros(3)] * 3, monkeypatch)
+        assert np.all(to_plus == 0.0)
         assert np.all(to_c == 0.0)
 
-    def test_leave_one_out_sums_exact(self):
+    def test_leave_one_out_sums_exact(self, monkeypatch):
+        # multiples of 1/4 add without rounding, in any order
+        code = build(kind="rc", n=2, B=4, m=2, L=3)
         rng = np.random.default_rng(4)
-        inc = [rng.uniform(-10, 10, 8) for _ in range(3)]
-        from_c = rng.uniform(-10, 10, 8)
-        to_plus, to_c = node_eq_update(inc, from_c)
+        inc = [rng.integers(-40, 40, 8) / 4.0 for _ in range(3)]
+        to_plus, to_c, from_c = eq_node(code, inc, monkeypatch)
         np.testing.assert_array_equal(to_c, inc[0] + inc[1] + inc[2])
         for i in range(3):
             others = [inc[j] for j in range(3) if j != i]
@@ -229,17 +265,6 @@ def test_window_state_validation():
         DecoderConfig(delay=-1)
     with pytest.raises(ValueError):
         DecoderConfig(delay=1, max_iters=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(delay=1, sweep="sideways")
-
-
-def test_forward_backward_sweep_also_decodes():
-    code = build(m=1, L=6)
-    rng = np.random.default_rng(19)
-    info = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
-    llr = received_llr(code, info, 8.0, seed=23)
-    cfg = DecoderConfig(delay=3, max_iters=10, sweep="forward-backward")
-    np.testing.assert_array_equal(decode_sequence(code, llr, cfg), info)
 
 
 MIXED_SNRS = (None, 2.5, 8.0, 1.0, 4.0, 2.5)  # None: noiseless
