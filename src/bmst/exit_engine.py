@@ -10,6 +10,9 @@ the chain succeeds.
 The recursion tracks one scalar MI per edge class under the consistent-
 Gaussian assumption; interleavers are MI-transparent in the ensemble limit,
 so the Cartesian order drops out and only the small-code family matters.
+Next to each MI it keeps the variance of the same message in the domain of
+the node that adds it up, so a node sums variances and converts with one
+J and one J-duality map (``jdual``) per message rather than a J inversion.
 Decided layers keep (freeze) their final outgoing MI rather than being
 forced to 1, which is what makes error propagation into later windows
 visible at low SNR.
@@ -26,7 +29,7 @@ from .basic_codes import (RC, BasicCode, BerEstimate, SmallCode, ber_basic,
                           exit_transfer_c)
 from .channel import channel_mi, ebn0_to_sigma
 from .encoder import coupled_rate
-from .jfun import jfun, jinv, qfunc, qfunc_inv
+from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
 
 _INF = math.inf
 
@@ -78,9 +81,6 @@ class ExitRunResult:
     success: bool
     fail_layer: int | None
     p_est: np.ndarray
-    ebn0_db: float
-    rate: float
-    i_ch: float
     windows_computed: int
 
 
@@ -93,10 +93,20 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     All full-edge MI start at 0, channel half-edges at the channel MI of
     the coupled rate, source half-edges at 0.  Each window position runs up
     to ``i_max`` sweeps of the layer schedule (a sweep that no longer moves
-    any message by more than ``FIXED_POINT_TOL`` is a fixed point and ends
-    the window early), then applies the convergence check at the target
+    any MI message by more than ``FIXED_POINT_TOL`` is a fixed point and
+    ends the window early), then applies the convergence check at the target
     layer.  On success the target layer's outgoing MI freeze at their final
     values and the window shifts; on failure the run stops.
+
+    The state is the MI of every message plus its variance in the domain of
+    the node that receives it.  With ``a`` the sum of a node's other input
+    variances, a parity node sends MI 1 - J(sqrt(a)) and variance
+    ``jdual(sqrt(a))**2``; an equality node sends MI J(sqrt(a)) and weight
+    ``jdual(sqrt(a))**2``.  The code node's extrinsic variance is
+    (n-1) * total for RC and ``jdual(sqrt(n-1) * jdual(sqrt(total)))**2``
+    for SPC: the variance forms of
+    :func:`~bmst.basic_codes.exit_transfer_c`, which the convergence check
+    still evaluates in the MI domain.
 
     Mid-chain windows repeat verbatim once their frozen inputs stop
     changing; ``steady_state_shortcut`` detects that and skips ahead, which
@@ -118,10 +128,13 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     v_ppm = [[0.0] * q for _ in range(L)]
     p_trace = np.full(L, np.nan)
 
-    # Module attributes are looked up once per run, so a wrapped jfun, jinv
+    # Module attributes are looked up once per run, so a wrapped jfun, jdual
     # or exit_transfer_c still sees every call.
-    j_fun, j_inv, transfer = jfun, jinv, exit_transfer_c
+    j_fun, j_dual, transfer = jfun, jdual, exit_transfer_c
     sqrt = math.sqrt
+    rc = small.kind == RC
+    n_other = small.n - 1
+    scale = sqrt(n_other)
     inf = _INF
     tol = FIXED_POINT_TOL
 
@@ -165,15 +178,17 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                 others_inf = n_inf
                 others_fin = fin - w
             if others_inf:
-                out = 0.0
+                out = var = 0.0
             else:
                 a = w_ch + others_fin
-                out = 1.0 - j_fun(sqrt(0.0 if a < 0.0 else a))
+                sa = sqrt(0.0 if a < 0.0 else a)
+                out = 1.0 - j_fun(sa)
+                var = j_dual(sa) ** 2
             if not moved:
                 diff = out - prow[j]
                 moved = diff > tol or -diff > tol
             prow[j] = out
-            vrow[j] = j_inv(out) ** 2
+            vrow[j] = var
         return moved
 
     def eq_c_node(tp: int, moved: bool) -> bool:
@@ -183,18 +198,21 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         total = 0.0
         for vi in v:
             total += vi
-        i_e = transfer(small, j_fun(sqrt(total)))
-        v_c = j_inv(i_e) ** 2
+        if rc:
+            v_c = n_other * total
+        else:
+            v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
         row = epm[tp]
         wrow = w_epm[tp]
         for i in range(q):
             a = total - v[i] + v_c
-            val = j_fun(sqrt(0.0 if a < 0.0 else a))
+            sa = sqrt(0.0 if a < 0.0 else a)
+            val = j_fun(sa)
             if not moved:
                 diff = val - row[i]
                 moved = diff > tol or -diff > tol
             row[i] = val
-            wrow[i] = j_inv(1.0 - val) ** 2
+            wrow[i] = j_dual(sa) ** 2
         return moved
 
     def run_window(t: int) -> ConvergenceCheck:
@@ -237,8 +255,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         windows += 1
         p_trace[t] = check.p_est
         if not check.passed:
-            return ExitRunResult(False, t, p_trace, ebn0_db, rate, i_ch,
-                                 windows)
+            return ExitRunResult(False, t, p_trace, windows)
         t_end = min(t + d, L - 1)
         mid_chain = m + 1 <= t <= last_mid and t_end == t + d
         if steady_state_shortcut and mid_chain:
@@ -269,7 +286,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
             prev_band = band
             prev_p = check.p_est
         t += 1
-    return ExitRunResult(True, None, p_trace, ebn0_db, rate, i_ch, windows)
+    return ExitRunResult(True, None, p_trace, windows)
 
 
 class BracketError(RuntimeError):

@@ -10,11 +10,18 @@ the bit it refers to; ``jinv`` is its inverse.
 table built once per process from the quadrature values; the table agrees
 with the quadrature to better than 1e-9 absolute and is fast enough for the
 inner loops of the MI recursion.
+
+``jdual`` is the duality map s -> J^-1(1 - J(s)) of the Gaussian
+approximation (Chung, Richardson and Urbanke, IEEE T-IT 2001): the std of
+the message whose MI is one minus that of a message with std ``s``.  It is
+read from a second table, built on the J spline at its first call, so that
+the MI recursion needs no Newton inversion per message.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,6 +38,11 @@ _STEP = 0.01
 _INV_STEP = 1.0 / _STEP
 #: Leading coefficient of J(sigma) ~ sigma**2 / (8 ln 2) as sigma -> 0.
 _SMALL_MI_COEFF = 1.0 / (8.0 * _LN2)
+#: First node and step of the duality table.  Below the first node the map
+#: is steep (J^-1 of an MI near 1) and ``jdual`` inverts exactly instead.
+_DUAL_S0 = 0.5
+_DUAL_STEP = 0.002
+_DUAL_INV_STEP = 1.0 / _DUAL_STEP
 
 
 def jfun_quad(sigma: float) -> float:
@@ -105,7 +117,67 @@ class _JTable:
         return y if y < 1.0 else 1.0
 
 
+class _DualTable:
+    """Piecewise-cubic table of g(s) = J^-1(1 - J(s)) on [_DUAL_S0, end).
+
+    Node values come from a vectorized bisection on the J spline, slopes from
+    g'(s) = -J'(s) / J'(g(s)); each interval is the cubic Hermite
+    interpolant.  Where 1 - J(s) is down to a few ulps the node values are
+    rounding noise, so they are made non-increasing and the slopes limited
+    to [-3 |secant|, 0] on both sides, so that every cubic is monotone too.
+    From ``end`` on, where J(s) rounds to 1, g is 0.  The build works in
+    place on a few node-sized arrays: it runs on the first ``jdual`` call,
+    inside whatever computation made it, and its peak memory stays there.
+    """
+
+    def __init__(self, tab: _JTable) -> None:
+        n_max = round((SIGMA_MAX - _DUAL_S0) * _DUAL_INV_STEP)
+        s = _DUAL_S0 + _DUAL_STEP * np.arange(n_max + 1)
+        target = 1.0 - np.clip(tab.spline(s), 0.0, 1.0)
+        n = int(np.argmax(target == 0.0))  # J(SIGMA_MAX) rounds to 1
+        s, target = s[:n + 1], target[:n + 1]
+        lo = np.zeros_like(s)
+        hi = np.full_like(s, SIGMA_MAX)
+        g = np.empty_like(s)
+        for _ in range(60):
+            np.add(lo, hi, out=g)
+            g *= 0.5
+            too_low = tab.spline(g) < target
+            np.copyto(lo, g, where=too_low)
+            np.copyto(hi, g, where=~too_low)
+        del target, too_low
+        np.add(lo, hi, out=g)
+        g *= 0.5
+        del lo, hi
+        g[n] = 0.0
+        np.minimum.accumulate(g, out=g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = tab.spline(s, 1)
+            slope /= tab.spline(g, 1)
+        np.negative(slope, out=slope)
+        slope[~np.isfinite(slope)] = 0.0
+        dx = np.diff(s)
+        secant = np.diff(g)
+        secant /= dx
+        slope[0] = min(max(slope[0], 3.0 * secant[0]), 0.0)
+        np.clip(slope[1:-1], 3.0 * np.maximum(secant[:-1], secant[1:]), 0.0,
+                out=slope[1:-1])
+        slope[n] = 0.0
+        # Per-interval (c0, c1, c2, c3) of the Hermite cubic in s - s_i,
+        # flattened: one lookup per evaluation.
+        self.coef = array("d", [0.0]) * (4 * n)
+        c = np.frombuffer(self.coef).reshape(n, 4)
+        t = (slope[:-1] + slope[1:] - 2.0 * secant) / dx
+        c[:, 0] = g[:-1]
+        c[:, 1] = slope[:-1]
+        c[:, 2] = (secant - slope[:-1]) / dx - t
+        c[:, 3] = t / dx
+        self.last = n - 1
+        self.end = float(s[n])
+
+
 _TABLE: _JTable | None = None
+_DUAL: _DualTable | None = None
 
 
 def _table() -> _JTable:
@@ -113,6 +185,13 @@ def _table() -> _JTable:
     if _TABLE is None:
         _TABLE = _JTable()
     return _TABLE
+
+
+def _dual_table() -> _DualTable:
+    global _DUAL
+    if _DUAL is None:
+        _DUAL = _DualTable(_table())
+    return _DUAL
 
 
 def jfun(sigma):
@@ -175,8 +254,8 @@ def jinv(mi):
             a = inv_sigma[k]
             s = a + (r - k) * (inv_sigma[k + 1] - a)
     # Safeguarded Newton on the spline; J and J' are evaluated inline (the
-    # arithmetic of _JTable.eval and its derivative) since this is the
-    # innermost loop of the MI recursion.
+    # arithmetic of _JTable.eval and its derivative) from one lookup of the
+    # interval's coefficients.
     coef = tab._coef
     last = tab._n_int - 1
     lo, hi = 0.0, SIGMA_MAX
@@ -208,6 +287,29 @@ def jinv(mi):
             nxt = 0.5 * (lo + hi)
         s = nxt
     return s
+
+
+def jdual(s: float) -> float:
+    """The std ``sigma'`` with ``J(sigma') = 1 - J(s)``, for a scalar ``s >= 0``.
+
+    ``jdual(0)`` is ``inf`` and ``jdual(s)`` is 0 for ``s >= SIGMA_MAX``.  The
+    map is non-increasing and, up to rounding, its own inverse;
+    ``|J(jdual(s)) + J(s) - 1|`` stays below 1e-12.  Below the table's first
+    node it is computed as ``jinv(1.0 - jfun(s))``.
+    """
+    tab = _DUAL if _DUAL is not None else _dual_table()
+    if s < _DUAL_S0:
+        return jinv(1.0 - jfun(s))
+    if s >= tab.end:
+        return 0.0
+    i = int((s - _DUAL_S0) * _DUAL_INV_STEP)
+    if i > tab.last:
+        i = tab.last
+    u = s - (_DUAL_S0 + i * _DUAL_STEP)
+    coef = tab.coef
+    k = 4 * i
+    y = coef[k] + u * (coef[k + 1] + u * (coef[k + 2] + u * coef[k + 3]))
+    return y if y > 0.0 else 0.0
 
 
 def qfunc(x):

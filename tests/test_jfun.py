@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bmst.jfun import SIGMA_MAX, jfun, jfun_quad, jinv, qfunc, qfunc_inv
+from bmst.jfun import (SIGMA_MAX, jdual, jfun, jfun_quad, jinv, qfunc,
+                       qfunc_inv)
 
 LN2 = math.log(2.0)
 
@@ -73,6 +74,38 @@ def test_domain_errors():
         jinv(-0.01)
     with pytest.raises(ValueError):
         jinv(1.01)
+
+
+# Step 0.0005 lands on every node of the duality table and halfway between;
+# the shifted copy lands at other points between nodes.  Both start below
+# the first node, where jdual inverts exactly.
+DUAL_GRID = np.concatenate([np.linspace(0.0, SIGMA_MAX + 1.0, 46_001),
+                            np.linspace(1e-6, SIGMA_MAX, 20_001) + 3.7e-4])
+
+
+def test_jdual_defining_equation():
+    worst = max(abs(jfun(jdual(float(s))) + jfun(float(s)) - 1.0)
+                for s in DUAL_GRID)
+    assert worst <= 1e-12
+
+
+def test_jdual_endpoints():
+    assert jdual(0.0) == math.inf
+    for s in (SIGMA_MAX, SIGMA_MAX + 1e-9, SIGMA_MAX + 5.0, math.inf):
+        assert jdual(s) == 0.0
+    with pytest.raises(ValueError):
+        jdual(-0.1)
+
+
+def test_jdual_non_increasing():
+    grid = np.sort(DUAL_GRID)
+    vals = np.array([jdual(float(s)) for s in grid])
+    assert np.all(vals[1:] <= vals[:-1])
+
+
+def test_jdual_is_an_involution():
+    for s in np.linspace(0.5, 8.0, 400):
+        assert jdual(jdual(float(s))) == pytest.approx(float(s), rel=1e-9)
 
 
 def test_qfunc():
