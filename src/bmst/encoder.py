@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basic_codes import BasicCode, encode_basic
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Identifier of the permutation-sampling scheme, recorded in run metadata.
 PERM_ALGORITHM = "fisher-yates/pcg64"
@@ -125,6 +127,8 @@ def generator_matrix(code: BmstCode, max_entries: int = 50_000_000) -> sp.csr_ar
     Block (i, j) is the basic generator column-permuted by the offset-(j-i)
     permutation when 0 <= j-i <= m, and zero otherwise.
     """
+    import scipy.sparse as sp
+
     L, m = code.coupling_len, code.memory
     nnz = L * (m + 1) * code.K * code.N
     if nnz > max_entries:

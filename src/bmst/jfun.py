@@ -7,26 +7,31 @@ the bit it refers to; ``jinv`` is its inverse.
 
 ``jfun_quad`` is the normative definition, evaluated by adaptive quadrature.
 ``jfun``/``jinv`` evaluate the same function through a dense cubic-spline
-table built once per process from the quadrature values; the table agrees
-with the quadrature to better than 1e-9 absolute and is fast enough for the
-inner loops of the MI recursion.
+table read from the shipped file ``jtables.bin`` at the first call; the
+table agrees with the quadrature to better than 1e-9 absolute and is fast
+enough for the inner loops of the MI recursion.
 
 ``jdual`` is the duality map s -> J^-1(1 - J(s)) of the Gaussian
 approximation (Chung, Richardson and Urbanke, IEEE T-IT 2001): the std of
 the message whose MI is one minus that of a message with std ``s``.  It is
-read from a second table, built on the J spline at its first call, so that
-the MI recursion needs no Newton inversion per message.
+read from a second table in the same file, so that the MI recursion needs no
+Newton inversion per message.
+
+:func:`write_tables` builds that file from the quadrature values; it is the
+only code that needs scipy to evaluate J.  Regenerate the file with
+``python -c "from bmst.jfun import TABLES_PATH, write_tables;
+write_tables(TABLES_PATH)"``; the tests check that it equals a fresh build
+byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import erfcinv
 
 _LN2 = math.log(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -56,6 +61,7 @@ def jfun_quad(sigma: float) -> float:
         return 0.0
     if math.isinf(sigma):
         return 1.0
+    from scipy.integrate import quad
     s = float(sigma)
 
     def integrand(u: float) -> float:
@@ -72,43 +78,54 @@ def jfun_quad(sigma: float) -> float:
     return min(1.0, max(0.0, 1.0 - val / _SQRT_2PI))
 
 
-class _JTable:
-    """Spline table of J on a uniform sigma grid, built lazily from quadrature."""
+#: The shipped tables, little-endian float64 in this order: the J spline's
+#: nodes, its coefficients c0..c3 as four rows with one entry per interval
+#: (``CubicSpline(...).c[::-1]``), ``mi_hi``, the Newton seeds of ``jinv``,
+#: and the duality table as one (c0, c1, c2, c3) run per interval.
+TABLES_PATH = Path(__file__).with_name("jtables.bin")
+_N_INT = 2200       # J-spline intervals of width _STEP on [0, SIGMA_MAX]
+_N_INV = 4096       # steps of the seed table on the MI grid [0, mi_hi]
+_SIGMA_HI = 12.0    # mi_hi = J(_SIGMA_HI), about 1 - 4.3e-9
+_DUAL_N = 8194      # duality-table intervals; J rounds to 1 at their end
+_TABLE_BYTES = 8 * ((_N_INT + 1) + 4 * _N_INT + 1 + (_N_INV + 1) + 4 * _DUAL_N)
 
-    def __init__(self) -> None:
-        self.grid = np.arange(0.0, SIGMA_MAX + 0.5 * _STEP, _STEP)
-        values = np.array([jfun_quad(s) for s in self.grid])
-        values[0] = 0.0
-        self.values = np.clip(values, 0.0, 1.0)
-        self.spline = CubicSpline(self.grid, self.values)
+
+class _Tables:
+    """The J spline, the seeds of ``jinv`` and the duality table, read from
+    ``path``; a missing or wrong-sized file raises ``RuntimeError``."""
+
+    def __init__(self, path: Path = TABLES_PATH) -> None:
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise RuntimeError(f"cannot read the J tables: {exc}; regenerate "
+                               f"them with bmst.jfun.write_tables") from exc
+        if len(data) != _TABLE_BYTES:
+            raise RuntimeError(f"J table file {path} holds {len(data)} bytes, "
+                               f"not {_TABLE_BYTES}; regenerate it with "
+                               f"bmst.jfun.write_tables")
+        self._vals = vals = array("d", data)
+        if sys.byteorder == "big":
+            vals.byteswap()
+        k = _N_INT + 1
         # Per-interval (c0, c1, c2, c3): one lookup per evaluation.
-        self._coef = list(zip(*(self.spline.c[::-1].tolist())))
-        self._n_int = len(self.grid) - 1
-
-        # Inverse lookup table on a uniform MI grid for Newton seeding.
-        # Restricted to where 1 - J is comfortably above double-precision noise.
-        self.mi_hi = float(jfun_quad(12.0))          # about 1 - 4.3e-9
-        self.sigma_hi = 12.0
-        n_inv = 4096
-        self._inv_mi_step = self.mi_hi / n_inv
-        mi_targets = np.linspace(0.0, self.mi_hi, n_inv + 1)
-        lo = np.zeros_like(mi_targets)
-        hi = np.full_like(mi_targets, self.sigma_hi)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            too_low = self.spline(mid) < mi_targets
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        sig = 0.5 * (lo + hi)
-        sig[0] = 0.0
-        self._inv_sigma = sig.tolist()
+        self._coef = list(zip(*(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
+                                for j in range(4))))
+        k += 4 * _N_INT
+        self.mi_hi = vals[k]
+        self._inv_mi_step = self.mi_hi / _N_INV
+        self._inv_sigma = vals[k + 1:k + _N_INV + 2].tolist()
+        # Flattened (c0, c1, c2, c3) of the duality table's intervals.
+        self.dual_coef = vals[k + _N_INV + 2:]
+        self.dual_end = _DUAL_S0 + _DUAL_STEP * _DUAL_N
+        self._ppoly = None
 
     def eval(self, x: float) -> float:
         if x >= SIGMA_MAX:
             return 1.0
         i = int(x * _INV_STEP)
-        if i >= self._n_int:
-            i = self._n_int - 1
+        if i >= _N_INT:
+            i = _N_INT - 1
         u = x - i * _STEP
         c0, c1, c2, c3 = self._coef[i]
         y = c0 + u * (c1 + u * (c2 + u * c3))
@@ -116,82 +133,106 @@ class _JTable:
             return 0.0
         return y if y < 1.0 else 1.0
 
-
-class _DualTable:
-    """Piecewise-cubic table of g(s) = J^-1(1 - J(s)) on [_DUAL_S0, end).
-
-    Node values come from a vectorized bisection on the J spline, slopes from
-    g'(s) = -J'(s) / J'(g(s)); each interval is the cubic Hermite
-    interpolant.  Where 1 - J(s) is down to a few ulps the node values are
-    rounding noise, so they are made non-increasing and the slopes limited
-    to [-3 |secant|, 0] on both sides, so that every cubic is monotone too.
-    From ``end`` on, where J(s) rounds to 1, g is 0.  The build works in
-    place on a few node-sized arrays: it runs on the first ``jdual`` call,
-    inside whatever computation made it, and its peak memory stays there.
-    """
-
-    def __init__(self, tab: _JTable) -> None:
-        n_max = round((SIGMA_MAX - _DUAL_S0) * _DUAL_INV_STEP)
-        s = _DUAL_S0 + _DUAL_STEP * np.arange(n_max + 1)
-        target = 1.0 - np.clip(tab.spline(s), 0.0, 1.0)
-        n = int(np.argmax(target == 0.0))  # J(SIGMA_MAX) rounds to 1
-        s, target = s[:n + 1], target[:n + 1]
-        lo = np.zeros_like(s)
-        hi = np.full_like(s, SIGMA_MAX)
-        g = np.empty_like(s)
-        for _ in range(60):
-            np.add(lo, hi, out=g)
-            g *= 0.5
-            too_low = tab.spline(g) < target
-            np.copyto(lo, g, where=too_low)
-            np.copyto(hi, g, where=~too_low)
-        del target, too_low
-        np.add(lo, hi, out=g)
-        g *= 0.5
-        del lo, hi
-        g[n] = 0.0
-        np.minimum.accumulate(g, out=g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = tab.spline(s, 1)
-            slope /= tab.spline(g, 1)
-        np.negative(slope, out=slope)
-        slope[~np.isfinite(slope)] = 0.0
-        dx = np.diff(s)
-        secant = np.diff(g)
-        secant /= dx
-        slope[0] = min(max(slope[0], 3.0 * secant[0]), 0.0)
-        np.clip(slope[1:-1], 3.0 * np.maximum(secant[:-1], secant[1:]), 0.0,
-                out=slope[1:-1])
-        slope[n] = 0.0
-        # Per-interval (c0, c1, c2, c3) of the Hermite cubic in s - s_i,
-        # flattened: one lookup per evaluation.
-        self.coef = array("d", [0.0]) * (4 * n)
-        c = np.frombuffer(self.coef).reshape(n, 4)
-        t = (slope[:-1] + slope[1:] - 2.0 * secant) / dx
-        c[:, 0] = g[:-1]
-        c[:, 1] = slope[:-1]
-        c[:, 2] = (secant - slope[:-1]) / dx - t
-        c[:, 3] = t / dx
-        self.last = n - 1
-        self.end = float(s[n])
+    def spline(self, x: np.ndarray) -> np.ndarray:
+        """The spline on an array, by scipy's ``PPoly``: the evaluator of
+        ``CubicSpline``, so the values are those of the generator's spline."""
+        if self._ppoly is None:
+            from scipy.interpolate import PPoly
+            head = np.frombuffer(self._vals, count=5 * _N_INT + 1)
+            self._ppoly = PPoly(head[_N_INT + 1:].reshape(4, _N_INT)[::-1],
+                                head[:_N_INT + 1])
+        return self._ppoly(x)
 
 
-_TABLE: _JTable | None = None
-_DUAL: _DualTable | None = None
+_TABLE: _Tables | None = None
 
 
-def _table() -> _JTable:
+def _table() -> _Tables:
     global _TABLE
     if _TABLE is None:
-        _TABLE = _JTable()
+        _TABLE = _Tables()
     return _TABLE
 
 
-def _dual_table() -> _DualTable:
-    global _DUAL
-    if _DUAL is None:
-        _DUAL = _DualTable(_table())
-    return _DUAL
+def write_tables(path: Path | str) -> None:
+    """Build the tables that ``TABLES_PATH`` ships and write them to ``path``.
+
+    J comes from :func:`jfun_quad` on the nodes, interpolated by scipy's
+    ``CubicSpline``; the seeds of ``jinv`` and the duality table come from
+    bisections on that spline.
+    """
+    from scipy.interpolate import CubicSpline
+
+    grid = np.arange(0.0, SIGMA_MAX + 0.5 * _STEP, _STEP)
+    values = np.array([jfun_quad(s) for s in grid])
+    values[0] = 0.0
+    spline = CubicSpline(grid, np.clip(values, 0.0, 1.0))
+
+    # Inverse lookup table on a uniform MI grid for Newton seeding.
+    # Restricted to where 1 - J is comfortably above double-precision noise.
+    mi_hi = float(jfun_quad(_SIGMA_HI))
+    mi_targets = np.linspace(0.0, mi_hi, _N_INV + 1)
+    lo = np.zeros_like(mi_targets)
+    hi = np.full_like(mi_targets, _SIGMA_HI)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        too_low = spline(mid) < mi_targets
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    inv_sigma = 0.5 * (lo + hi)
+    inv_sigma[0] = 0.0
+
+    # Duality table: g(s) = J^-1(1 - J(s)) on [_DUAL_S0, end), one cubic
+    # Hermite interpolant per interval.  Node values come from a bisection
+    # on the spline, slopes from g'(s) = -J'(s) / J'(g(s)).  Where 1 - J(s)
+    # is down to a few ulps the node values are rounding noise, so they are
+    # made non-increasing and the slopes limited to [-3 |secant|, 0] on both
+    # sides, so that every cubic is monotone too.  From ``end`` on, where
+    # J(s) rounds to 1, g is 0.
+    n_max = round((SIGMA_MAX - _DUAL_S0) * _DUAL_INV_STEP)
+    s = _DUAL_S0 + _DUAL_STEP * np.arange(n_max + 1)
+    target = 1.0 - np.clip(spline(s), 0.0, 1.0)
+    n = int(np.argmax(target == 0.0))  # J(SIGMA_MAX) rounds to 1
+    if n != _DUAL_N:
+        raise RuntimeError(f"J rounds to 1 after {n} duality-table "
+                           f"intervals, not {_DUAL_N}")
+    s, target = s[:n + 1], target[:n + 1]
+    lo = np.zeros_like(s)
+    hi = np.full_like(s, SIGMA_MAX)
+    g = np.empty_like(s)
+    for _ in range(60):
+        np.add(lo, hi, out=g)
+        g *= 0.5
+        too_low = spline(g) < target
+        np.copyto(lo, g, where=too_low)
+        np.copyto(hi, g, where=~too_low)
+    np.add(lo, hi, out=g)
+    g *= 0.5
+    g[n] = 0.0
+    np.minimum.accumulate(g, out=g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = spline(s, 1)
+        slope /= spline(g, 1)
+    np.negative(slope, out=slope)
+    slope[~np.isfinite(slope)] = 0.0
+    dx = np.diff(s)
+    secant = np.diff(g)
+    secant /= dx
+    slope[0] = min(max(slope[0], 3.0 * secant[0]), 0.0)
+    np.clip(slope[1:-1], 3.0 * np.maximum(secant[:-1], secant[1:]), 0.0,
+            out=slope[1:-1])
+    slope[n] = 0.0
+    # Per-interval (c0, c1, c2, c3) of the Hermite cubic in s - s_i.
+    dual = np.empty((n, 4))
+    t = (slope[:-1] + slope[1:] - 2.0 * secant) / dx
+    dual[:, 0] = g[:-1]
+    dual[:, 1] = slope[:-1]
+    dual[:, 2] = (secant - slope[:-1]) / dx - t
+    dual[:, 3] = t / dx
+
+    data = np.concatenate([grid, spline.c[::-1].ravel(), [mi_hi], inv_sigma,
+                           dual.ravel()])
+    Path(path).write_bytes(data.astype("<f8").tobytes())
 
 
 def jfun(sigma):
@@ -233,7 +274,7 @@ def jinv(mi):
         return math.inf
     if mi > tab.mi_hi:
         # Deep saturation: bisect on the spline between sigma_hi and SIGMA_MAX.
-        lo, hi = tab.sigma_hi, SIGMA_MAX
+        lo, hi = _SIGMA_HI, SIGMA_MAX
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if tab.eval(mid) < mi:
@@ -257,7 +298,7 @@ def jinv(mi):
     # arithmetic of _JTable.eval and its derivative) from one lookup of the
     # interval's coefficients.
     coef = tab._coef
-    last = tab._n_int - 1
+    last = _N_INT - 1
     lo, hi = 0.0, SIGMA_MAX
     for _ in range(30):
         inside = s < SIGMA_MAX
@@ -297,16 +338,16 @@ def jdual(s: float) -> float:
     ``|J(jdual(s)) + J(s) - 1|`` stays below 1e-12.  Below the table's first
     node it is computed as ``jinv(1.0 - jfun(s))``.
     """
-    tab = _DUAL if _DUAL is not None else _dual_table()
+    tab = _TABLE if _TABLE is not None else _table()
     if s < _DUAL_S0:
         return jinv(1.0 - jfun(s))
-    if s >= tab.end:
+    if s >= tab.dual_end:
         return 0.0
     i = int((s - _DUAL_S0) * _DUAL_INV_STEP)
-    if i > tab.last:
-        i = tab.last
+    if i >= _DUAL_N:
+        i = _DUAL_N - 1
     u = s - (_DUAL_S0 + i * _DUAL_STEP)
-    coef = tab.coef
+    coef = tab.dual_coef
     k = 4 * i
     y = coef[k] + u * (coef[k + 1] + u * (coef[k + 2] + u * coef[k + 3]))
     return y if y > 0.0 else 0.0
@@ -326,4 +367,5 @@ def qfunc_inv(p: float) -> float:
     """Inverse of :func:`qfunc` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    from scipy.special import erfcinv
     return _SQRT2 * float(erfcinv(2.0 * p))

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmst
 from bmst.cli import main, spec_from_args
-from bmst.harness import parse_metadata, replay, strip_timestamp
+from bmst.harness import (parse_metadata, replay, spec_from_metadata,
+                          strip_timestamp)
 
 
 def test_flag_parsing():
@@ -95,6 +100,11 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
     assert repr(line.split("=")[0]) in err
 
 
+def data_rows(text):
+    return "".join(line + "\n" for line in text.splitlines()
+                   if not line.startswith("#"))
+
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RUNS = {
     "encode_spc4.csv": "encode --code spc:4 --cart 3 --memory 2 --length 5 "
@@ -110,7 +120,48 @@ GOLDEN_RUNS = {
 def test_data_rows_match_golden(capsys, name):
     # pins the permutation draws, the encoder and the bound's numbers
     assert main(GOLDEN_RUNS[name].split()) == 0
-    out = capsys.readouterr().out
-    rows = "".join(line + "\n" for line in out.splitlines()
-                   if not line.startswith("#"))
+    rows = data_rows(capsys.readouterr().out)
     assert rows.encode() == (GOLDEN / name).read_bytes()
+
+
+# Thresholds of RC[2,1]^100 at L=20; the genie column goes through qfunc_inv.
+THRESHOLD_GOLDEN = GOLDEN / "threshold_vs_target_rc2.csv"
+THRESHOLD_RUN = ["threshold-vs-target", "--code", "rc:2", "--memory", "1,2",
+                 "--length", "20", "--target-ber", "1e-1,1e-2,1e-3",
+                 "--snr=-6:14:0.01"]
+
+
+def test_threshold_golden_replays_bit_exactly():
+    golden = THRESHOLD_GOLDEN.read_bytes()
+    text = golden.decode()
+    assert spec_from_metadata(parse_metadata(text)) == \
+        spec_from_args(THRESHOLD_RUN)
+    again = replay(text)
+    golden_rows = b"".join(line for line in golden.splitlines(keepends=True)
+                           if not line.startswith(b"#"))
+    assert len(golden_rows.splitlines()) == 13  # header and 12 searches
+    assert data_rows(again).encode() == golden_rows
+    assert strip_timestamp(again) == strip_timestamp(text)
+
+
+# The commands the benchmark times; importing scipy would be most of their
+# start-up time.  The check goes by what the runs imported, not by timing.
+NO_SCIPY_RUNS = """
+import sys
+import bmst.cli
+from bmst.harness import run_spec
+for argv in (["ber", "--code", "rc:2", "--cart", "4", "--memory", "1",
+              "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"],
+             ["threshold-vs-l", "--code", "rc:2", "--memory", "1",
+              "--length", "10"]):
+    assert run_spec(bmst.cli.spec_from_args(argv))[1] == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_ber_and_threshold_vs_l_runs_import_no_scipy():
+    src = str(Path(bmst.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

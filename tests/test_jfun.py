@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bmst.jfun import (SIGMA_MAX, jdual, jfun, jfun_quad, jinv, qfunc,
-                       qfunc_inv)
+import bmst
+from bmst.jfun import (SIGMA_MAX, TABLES_PATH, _Tables, jdual, jfun,
+                       jfun_quad, jinv, qfunc, qfunc_inv, write_tables)
 
 LN2 = math.log(2.0)
 
@@ -116,3 +118,28 @@ def test_qfunc():
         assert qfunc(qfunc_inv(p)) == pytest.approx(p, rel=1e-10)
     with pytest.raises(ValueError):
         qfunc_inv(0.0)
+
+
+def test_shipped_tables_equal_a_fresh_build(tmp_path):
+    fresh = tmp_path / "jtables.bin"
+    write_tables(fresh)
+    assert fresh.read_bytes() == TABLES_PATH.read_bytes()
+
+
+def test_damaged_or_missing_table_file_raises(tmp_path):
+    short = tmp_path / "short.bin"
+    short.write_bytes(TABLES_PATH.read_bytes()[:-32])
+    with pytest.raises(RuntimeError, match="write_tables"):
+        _Tables(short)
+    with pytest.raises(RuntimeError, match="write_tables"):
+        _Tables(tmp_path / "absent.bin")
+
+
+def test_table_file_is_declared_package_data():
+    # an installed copy holds only the files that pyproject.toml declares
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert TABLES_PATH.parent == Path(bmst.__file__).parent
+    assert TABLES_PATH.name in package_data["bmst"]
