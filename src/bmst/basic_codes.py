@@ -19,6 +19,9 @@ from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus
 RC = "rc"
 SPC = "spc"
 
+#: Blocks per batch of the SPC Monte Carlo in :func:`ber_basic`.
+BER_BATCH_BLOCKS = 200_000
+
 
 @dataclass(frozen=True, eq=False)
 class SmallCode:
@@ -177,15 +180,14 @@ class BerEstimate:
 
 
 def ber_basic(code: BasicCode | SmallCode, ebn0_db: float, *,
-              trials: int = 1_000_000, seed: int = 0,
-              batch_blocks: int = 200_000) -> BerEstimate:
+              trials: int = 1_000_000, seed: int = 0) -> BerEstimate:
     """BER of the basic code under MAP decoding on the BPSK-AWGN channel.
 
     ``ebn0_db`` is normalized by the basic code rate k/n.  Repetition codes
     use the closed form Q(sqrt(2 Eb/N0)); SPC codes are estimated by Monte
     Carlo with exact per-block MAP decoding, ``trials`` blocks in total.
-    Per-batch RNG streams are derived from ``(seed, batch_index)`` so the
-    result is independent of the batching schedule.
+    Batch ``b`` of ``BER_BATCH_BLOCKS`` blocks draws from a stream seeded
+    by ``(seed, b)``.
     """
     small = code.small if isinstance(code, BasicCode) else code
     if small.kind == RC:
@@ -201,7 +203,7 @@ def ber_basic(code: BasicCode | SmallCode, ebn0_db: float, *,
     blocks_done = 0
     batch_index = 0
     while blocks_done < trials:
-        nb = min(batch_blocks, trials - blocks_done)
+        nb = min(BER_BATCH_BLOCKS, trials - blocks_done)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, batch_index))))
         info = rng.integers(0, 2, size=(nb, k), dtype=np.uint8)

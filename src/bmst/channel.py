@@ -17,6 +17,8 @@ from .llr import LLR_CLIP
 
 #: Identifier of the noise-sampling scheme, recorded in run metadata.
 NOISE_ALGORITHM = "ziggurat/pcg64"
+#: Bisection tolerance of :func:`bpsk_capacity_ebn0_db`, in dB.
+CAPACITY_TOL_DB = 1e-6
 
 
 def ebn0_to_sigma(ebn0_db: float, rate: float) -> float:
@@ -24,15 +26,6 @@ def ebn0_to_sigma(ebn0_db: float, rate: float) -> float:
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
     return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (ebn0_db / 10.0))
-
-
-def sigma_to_ebn0(sigma: float, rate: float) -> float:
-    """Inverse of :func:`ebn0_to_sigma`."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must lie in (0, 1], got {rate}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return 10.0 * math.log10(1.0 / (2.0 * rate * sigma * sigma))
 
 
 def transmit(bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -65,7 +58,7 @@ def channel_mi(ebn0_db: float, rate: float) -> float:
     return jfun(math.sqrt(8.0 * rate * 10.0 ** (ebn0_db / 10.0)))
 
 
-def bpsk_capacity_ebn0_db(rate: float, tol_db: float = 1e-6) -> float:
+def bpsk_capacity_ebn0_db(rate: float) -> float:
     """Smallest Eb/N0 (dB) at which BPSK-AWGN capacity reaches ``rate``.
 
     Solves channel_mi(ebn0, rate) == rate by bisection; the constrained
@@ -74,7 +67,7 @@ def bpsk_capacity_ebn0_db(rate: float, tol_db: float = 1e-6) -> float:
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0, 1), got {rate}")
     lo, hi = -20.0, 40.0
-    while hi - lo > tol_db:
+    while hi - lo > CAPACITY_TOL_DB:
         mid = 0.5 * (lo + hi)
         if channel_mi(mid, rate) < rate:
             lo = mid

@@ -35,6 +35,9 @@ _INF = math.inf
 
 #: A window sweep that moves no MI message by more than this is a fixed point.
 FIXED_POINT_TOL = 1e-14
+#: Bisection step of the Eb/N0 at which the Monte Carlo genie bound meets a
+#: target BER.
+GENIE_RESOLUTION_DB = 0.01
 
 
 def mi_ap(i_a: float, i_e: float) -> float:
@@ -366,25 +369,26 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
 
 def genie_lower_bound(code: BasicCode | SmallCode, memory: int,
                       coupling_len: int, ebn0_db: float,
-                      **ber_kwargs) -> BerEstimate:
+                      seed: int = 0) -> BerEstimate:
     """BER lower bound of the coupled code from a genie-aided argument.
 
     A decoder told every other layer's bits sees the basic code repeated
     m+1 times (a 10*log10(m+1) dB energy gain) minus the termination rate
-    loss 10*log10(1 + m/L); the bound evaluates the basic-code BER there.
+    loss 10*log10(1 + m/L); the bound evaluates the basic-code BER there,
+    by Monte Carlo at ``seed`` for SPC codes.
     """
     if memory < 0 or coupling_len < 1:
         raise ValueError("need memory >= 0 and coupling_len >= 1")
     shifted = (ebn0_db + 10.0 * math.log10(memory + 1)
                - 10.0 * math.log10(1.0 + memory / coupling_len))
-    return ber_basic(code, shifted, **ber_kwargs)
+    return ber_basic(code, shifted, seed=seed)
 
 
 def genie_bound_ebn0_at_target(code: BasicCode | SmallCode, memory: int,
                                coupling_len: int, target_ber: float,
-                               resolution_db: float = 0.01,
-                               **ber_kwargs) -> float:
-    """Eb/N0 (dB) at which the genie-aided bound equals the target BER."""
+                               seed: int = 0) -> float:
+    """Eb/N0 (dB) at which the genie-aided bound equals the target BER;
+    SPC codes bisect the Monte Carlo bound to ``GENIE_RESOLUTION_DB``."""
     if not 0.0 < target_ber < 0.5:
         raise ValueError("target BER must lie in (0, 0.5)")
     small = code.small if isinstance(code, BasicCode) else code
@@ -395,9 +399,9 @@ def genie_bound_ebn0_at_target(code: BasicCode | SmallCode, memory: int,
         x = 0.5 * qfunc_inv(target_ber) ** 2
         return 10.0 * math.log10(x) - correction
     lo, hi = -10.0, 40.0
-    while hi - lo > resolution_db:
+    while hi - lo > GENIE_RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
-        if genie_lower_bound(code, memory, coupling_len, mid, **ber_kwargs).ber > target_ber:
+        if genie_lower_bound(code, memory, coupling_len, mid, seed).ber > target_ber:
             lo = mid
         else:
             hi = mid

@@ -33,6 +33,14 @@ class SpecError(ValueError):
     """The experiment spec is invalid (CLI exit code 2)."""
 
 
+#: The list fields of which each command reads only the first value.
+_FIRST_ONLY = {"ber": ("memories", "lengths", "delays"),
+               "threshold-vs-l": ("delays", "targets"),
+               "threshold-vs-target": ("lengths",),
+               "bound": (),
+               "encode": ("memories", "lengths")}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to replay one experiment bit-exactly."""
@@ -55,9 +63,12 @@ class ExperimentSpec:
     out: str = ""
 
     def validate(self) -> None:
-        if self.command not in ("ber", "threshold-vs-l", "threshold-vs-target",
-                                "bound", "encode"):
+        if self.command not in _FIRST_ONLY:
             raise SpecError(f"unknown command {self.command!r}")
+        for name in _FIRST_ONLY[self.command]:
+            if len(getattr(self, name)) > 1:
+                raise SpecError(f"{self.command} reads only the first value "
+                                f"of {name}, got {getattr(self, name)}")
         if self.kind not in ("rc", "spc"):
             raise SpecError(f"code kind must be rc or spc, got {self.kind!r}")
         if self.n < 2:
@@ -288,10 +299,12 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
     failures = 0
     for m in spec.memories:
         delays = spec.delays if spec.delays else (m, 3 * m)
+        # The bound does not depend on the delay.
+        bounds = [genie_bound_ebn0_at_target(small, m, L, target,
+                                             seed=spec.seed)
+                  for target in spec.targets]
         for d in delays:
-            for target in spec.targets:
-                bound_db = genie_bound_ebn0_at_target(
-                    small, m, L, target, seed=spec.seed)
+            for target, bound_db in zip(spec.targets, bounds):
                 try:
                     query = ThresholdQuery(small, m, d, L, target,
                                            spec.snr_lo, spec.snr_hi,

@@ -104,7 +104,7 @@ class _Tables:
             raise RuntimeError(f"J table file {path} holds {len(data)} bytes, "
                                f"not {_TABLE_BYTES}; regenerate it with "
                                f"bmst.jfun.write_tables")
-        self._vals = vals = array("d", data)
+        vals = array("d", data)
         if sys.byteorder == "big":
             vals.byteswap()
         k = _N_INT + 1
@@ -118,7 +118,6 @@ class _Tables:
         # Flattened (c0, c1, c2, c3) of the duality table's intervals.
         self.dual_coef = vals[k + _N_INV + 2:]
         self.dual_end = _DUAL_S0 + _DUAL_STEP * _DUAL_N
-        self._ppoly = None
 
     def eval(self, x: float) -> float:
         if x >= SIGMA_MAX:
@@ -132,16 +131,6 @@ class _Tables:
         if y <= 0.0:
             return 0.0
         return y if y < 1.0 else 1.0
-
-    def spline(self, x: np.ndarray) -> np.ndarray:
-        """The spline on an array, by scipy's ``PPoly``: the evaluator of
-        ``CubicSpline``, so the values are those of the generator's spline."""
-        if self._ppoly is None:
-            from scipy.interpolate import PPoly
-            head = np.frombuffer(self._vals, count=5 * _N_INT + 1)
-            self._ppoly = PPoly(head[_N_INT + 1:].reshape(4, _N_INT)[::-1],
-                                head[:_N_INT + 1])
-        return self._ppoly(x)
 
 
 _TABLE: _Tables | None = None
@@ -248,9 +237,8 @@ def jfun(sigma):
     arr = np.asarray(sigma, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("sigma must be non-negative")
-    out = np.clip(tab.spline(np.minimum(arr, SIGMA_MAX)), 0.0, 1.0)
-    out = np.where(arr >= SIGMA_MAX, 1.0, out)
-    return out
+    return np.array([tab.eval(x) for x in arr.ravel().tolist()]).reshape(
+        arr.shape)
 
 
 def jinv(mi):
@@ -295,7 +283,7 @@ def jinv(mi):
             a = inv_sigma[k]
             s = a + (r - k) * (inv_sigma[k + 1] - a)
     # Safeguarded Newton on the spline; J and J' are evaluated inline (the
-    # arithmetic of _JTable.eval and its derivative) from one lookup of the
+    # arithmetic of _Tables.eval and its derivative) from one lookup of the
     # interval's coefficients.
     coef = tab._coef
     last = _N_INT - 1
@@ -353,14 +341,9 @@ def jdual(s: float) -> float:
     return y if y > 0.0 else 0.0
 
 
-def qfunc(x):
+def qfunc(x: float) -> float:
     """Gaussian tail probability Q(x), evaluated via erfc for stability."""
-    if isinstance(x, (float, int)):
-        if math.isinf(x):
-            return 0.0 if x > 0 else 1.0
-        return 0.5 * math.erfc(x / _SQRT2)
-    from scipy.special import erfc
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def qfunc_inv(p: float) -> float:

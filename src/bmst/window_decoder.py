@@ -49,23 +49,18 @@ class DecoderConfig:
 
 @dataclass
 class WindowState:
-    """Messages and context of one window position.
+    """Context of one window position.
 
     ``channel_llr`` holds the full received sequence; the window reads
     blocks ``position .. layer_end + m``.  ``feedback_llr`` carries the
     saturated codeword LLRs of already-decided layers (rows at or past
-    ``position`` are ignored).  ``epm[w, i]`` is the message from the
-    equality node of layer ``position + w`` toward parity node
-    ``position + w + i``; ``ppm[w, i]`` flows the opposite way.  Both live
-    in the codeword-bit (pre-permutation) domain.
+    ``position`` are ignored).
     """
 
     position: int
     layer_end: int
     channel_llr: np.ndarray
     feedback_llr: np.ndarray
-    epm: np.ndarray
-    ppm: np.ndarray
 
     @classmethod
     def create(cls, code: BmstCode, config: DecoderConfig,
@@ -82,10 +77,7 @@ class WindowState:
         if feedback_llr is None:
             feedback_llr = np.zeros(lead + (L, N))
         layer_end = min(position + config.delay, L - 1)
-        w = layer_end - position + 1
-        msg_shape = (w, m + 1) + lead + (N,)
-        return cls(position, layer_end, llr, feedback_llr,
-                   np.zeros(msg_shape), np.zeros(msg_shape))
+        return cls(position, layer_end, llr, feedback_llr)
 
 
 @dataclass
@@ -93,10 +85,12 @@ class _ActiveRows:
     """Window-local arrays of the trials that are still iterating.
 
     The trial axis sits after the layer axes: ``channel[k]`` is block
-    ``position + k``, ``feedback[k]`` is decided layer
-    ``position - len(feedback) + k``, and ``epm``/``ppm`` are shaped
-    ``(w, m + 1, trials, N)`` like the window's messages.  ``rows`` maps each
-    trial to its index in the flattened batch.
+    ``position + k`` and ``feedback[k]`` is decided layer
+    ``position - len(feedback) + k``.  ``epm[w, i]``, shaped
+    ``(trials, N)``, is the message from the equality node of layer
+    ``position + w`` toward parity node ``position + w + i``; ``ppm[w, i]``
+    flows the opposite way.  Both live in the codeword-bit (pre-permutation)
+    domain.  ``rows`` maps each trial to its index in the flattened batch.
     """
 
     rows: np.ndarray
@@ -186,21 +180,21 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     sits at an exact fixed point and further sweeps would be no-ops, so it
     leaves the active set and later sweeps skip it.  Otherwise it stops
     after ``max_iters`` sweeps.  A trial's decisions and its work therefore
-    do not depend on its batch-mates.  On return ``state.epm`` and
-    ``state.ppm`` hold every trial's final messages.
+    do not depend on its batch-mates.
     """
     L, m, N = code.coupling_len, code.memory, code.N
     t = state.position
     lead = state.channel_llr.shape[:-2]
     trials = math.prod(lead)
-    w = state.layer_end - t + 1
-    epm = state.epm.reshape((w, m + 1, trials, N))
-    ppm = state.ppm.reshape((w, m + 1, trials, N))
+    shape = (state.layer_end - t + 1, m + 1, trials, N)
     act = _ActiveRows(
         np.arange(trials),
         _local(state.channel_llr, t, min(state.layer_end + m, L + m - 1) + 1,
                trials),
-        _local(state.feedback_llr, max(t - m, 0), t, trials), epm, ppm)
+        _local(state.feedback_llr, max(t - m, 0), t, trials),
+        np.zeros(shape), np.zeros(shape))
+    # The target layer's incoming parity messages, for the decision.
+    target = np.empty(shape[1:])
     for _ in range(config.max_iters):
         prev_epm = act.epm.copy()
         prev_ppm = act.ppm.copy()
@@ -209,16 +203,12 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
                    & (act.ppm == prev_ppm).all(axis=(0, 1, 3)))
         if not moving.all():
             done = ~moving
-            epm[:, :, act.rows[done]] = act.epm[:, :, done]
-            ppm[:, :, act.rows[done]] = act.ppm[:, :, done]
+            target[:, act.rows[done]] = act.ppm[0][:, done]
             act = act.subset(moving)
             if not act.rows.size:
                 break
-    epm[:, :, act.rows] = act.epm
-    ppm[:, :, act.rows] = act.ppm
-    state.epm = epm.reshape(state.epm.shape)
-    state.ppm = ppm.reshape(state.ppm.shape)
-    total = ppm[0].sum(axis=0)
+    target[:, act.rows] = act.ppm[0]
+    total = target.sum(axis=0)
     _, info_app = siso_decode_basic(
         code.basic, np.clip(total, -LLR_CLIP, LLR_CLIP), assume_clipped=True)
     info_app = info_app.reshape(lead + (code.K,))

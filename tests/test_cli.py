@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,70 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "error: invalid spec:" in err
     assert repr(line.split("=")[0]) in err
+
+
+# Small runs of each command, so a check that let a bad flag through would
+# still end at once.
+TINY = {
+    "ber": "--code rc:2 --cart 2 --memory 1 --length 2 --snr 5:5:1 "
+           "--max-bits 64",
+    "threshold-vs-l": "--code rc:2 --memory 1 --length 10 --snr 0:14:1",
+    "threshold-vs-target": "--code rc:2 --memory 1 --length 10 "
+                           "--target-ber 1e-2 --snr=-6:14:1",
+    "bound": "--code rc:2 --memory 1 --length 10 --snr 5:5:1",
+    "encode": "--code rc:2 --cart 2 --memory 1 --length 2",
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("ber", "--target-ber", "1e-3"),
+    ("threshold-vs-l", "--cart", "5"),
+    ("threshold-vs-target", "--max-bits", "5"),
+    ("bound", "--delay", "3"),
+    ("encode", "--snr", "1:2:1"),
+])
+def test_key_the_command_does_not_read_exit_2(tmp_path, capsys, command,
+                                               flag, value):
+    argv = [command, *TINY[command].split()]
+    assert main(argv) in (0, 3)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: invalid spec:" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("ber", "--memory", "1,2"),
+    ("ber", "--length", "3,4"),
+    ("ber", "--delay", "3,4"),
+    ("encode", "--memory", "1,2"),
+    ("encode", "--length", "3,4"),
+    ("threshold-vs-l", "--delay", "3,6"),
+    ("threshold-vs-l", "--target-ber", "1e-2,1e-5"),
+    ("threshold-vs-target", "--length", "10,20"),
+])
+def test_list_the_command_would_cut_short_exit_2(capsys, command, flag,
+                                                 value):
+    # the command reads only the first value of this list
+    assert main([command, *TINY[command].split(), flag, value]) == 2
+    assert "error: invalid spec:" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
+    lines = [shlex.split(line) for line in
+             block.replace("\\\n", " ").splitlines()
+             if line.startswith("bmst ")]
+    assert len(lines) == 5
+    for argv in lines:
+        spec_from_args(argv[1:]).validate()
 
 
 def data_rows(text):

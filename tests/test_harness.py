@@ -181,6 +181,27 @@ def test_threshold_vs_target_default_delays_cover_m_and_3m():
     assert sorted(int(r[2]) for r in rows) == [2, 6]
 
 
+def test_threshold_vs_target_computes_each_genie_bound_once(monkeypatch):
+    # the bound depends on (m, L, target), not on the delay
+    import bmst.harness as harness
+    calls = []
+    bound = harness.genie_bound_ebn0_at_target
+
+    def counting_bound(*args, **kwargs):
+        calls.append(args)
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "genie_bound_ebn0_at_target", counting_bound)
+    spec = ExperimentSpec(command="threshold-vs-target", kind="rc", n=2,
+                          memories=(1, 2), lengths=(20,), snr_lo=-6.0,
+                          snr_hi=14.0, snr_step=0.1, targets=(1e-2, 1e-3))
+    text, _ = run_threshold_vs_target(spec)
+    rows = [line for line in text.splitlines()
+            if line and not (line.startswith("#") or line.startswith("family"))]
+    assert len(rows) == 8  # 2 memories x 2 delays x 2 targets
+    assert len(calls) == 4
+
+
 def test_encode_replay():
     spec = ExperimentSpec(command="encode", kind="spc", n=4, cart=3,
                           memories=(2,), lengths=(4,), seed=99)
