@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import ebn0_to_sigma, llr_demap, transmit
 from .jfun import jfun, jinv, qfunc
 from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus
 
@@ -196,8 +197,8 @@ def ber_basic(code: BasicCode | SmallCode, ebn0_db: float, *,
         return BerEstimate(p, 0.0)
 
     one_block = cartesian(small, 1)
-    n, k = small.n, small.k
-    sigma = 1.0 / math.sqrt(2.0 * (k / n) * 10.0 ** (ebn0_db / 10.0))
+    k = small.k
+    sigma = ebn0_to_sigma(ebn0_db, small.rate)
     err_sum = 0.0
     err_sq_sum = 0.0
     blocks_done = 0
@@ -207,10 +208,8 @@ def ber_basic(code: BasicCode | SmallCode, ebn0_db: float, *,
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, batch_index))))
         info = rng.integers(0, 2, size=(nb, k), dtype=np.uint8)
-        cw = encode_basic(one_block, info)
-        y = (1.0 - 2.0 * cw) + sigma * rng.standard_normal((nb, n))
-        llr = clip_llr(2.0 * y / (sigma * sigma))
-        _, app = siso_decode_basic(one_block, llr)
+        y = transmit(encode_basic(one_block, info), sigma, rng)
+        _, app = siso_decode_basic(one_block, llr_demap(y, sigma))
         errs = ((app < 0).astype(np.uint8) != info).sum(axis=-1).astype(float)
         err_sum += errs.sum()
         err_sq_sum += (errs * errs).sum()

@@ -6,9 +6,9 @@ to the keys its run reads and their defaults.  A subcommand takes exactly
 those keys, as ``--flag-name`` flags and as ``flag_name=value`` lines of a
 ``--config`` file; flags given on the command line win.
 
-Exit codes: 0 on success, 2 for an invalid spec (a flag or config key the
-subcommand does not read included), 3 when a threshold search interval
-fails to bracket.
+Exit codes: 0 on success, 2 for an invalid spec (any bad command line: a
+flag or config key the subcommand does not read, a flag without its value,
+a missing subcommand), 3 when a threshold search interval fails to bracket.
 """
 
 from __future__ import annotations
@@ -90,8 +90,15 @@ def _read_config(path: str, command: str) -> dict[str, str]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises SpecError for a bad command line; ``--help`` still exits."""
+
+    def error(self, message: str):
+        raise SpecError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bmst",
         description="Superposition-coupled short codes: BER simulation, "
                     "decoding thresholds, and genie-aided bounds.")

@@ -259,14 +259,11 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         p_trace[t] = check.p_est
         if not check.passed:
             return ExitRunResult(False, t, p_trace, windows)
-        t_end = min(t + d, L - 1)
-        mid_chain = m + 1 <= t <= last_mid and t_end == t + d
-        if steady_state_shortcut and mid_chain:
-            band = snapshot_band(t, t_end)
-            if (prev_band is not None and prev_p is not None
-                    and t + 1 <= last_mid
+        if steady_state_shortcut and m + 1 <= t <= last_mid:
+            # Mid-chain: the window ends at t + d; all bands are one length.
+            band = snapshot_band(t, t + d)
+            if (prev_band is not None and t + 1 <= last_mid
                     and abs(check.p_est - prev_p) <= tol
-                    and len(band) == len(prev_band)
                     and all(abs(a - b) <= tol
                             for a, b in zip(band, prev_band))):
                 # Every window up to last_mid will repeat this one verbatim.
@@ -283,8 +280,6 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                     ppm[last_mid + r] = list(saved[r][2])
                     v_ppm[last_mid + r] = list(saved[r][3])
                 t = last_mid + 1
-                prev_band = None
-                prev_p = None
                 continue
             prev_band = band
             prev_p = check.p_est

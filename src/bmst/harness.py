@@ -9,15 +9,16 @@ timestamp line is informational and excluded from the comparison).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .basic_codes import cartesian, make_small_code
+from .basic_codes import SmallCode, cartesian, make_small_code
 from .channel import (NOISE_ALGORITHM, bpsk_capacity_ebn0_db, ebn0_to_sigma,
-                      llr_demap)
+                      llr_demap, transmit)
 from .encoder import (PERM_ALGORITHM, build_bmst, coupled_rate, encode_bmst,
                       rate_bmst)
 from .exit_engine import (BracketError, ThresholdQuery,
@@ -112,12 +113,6 @@ class ExperimentSpec:
         return pts
 
 
-_INT_FIELDS = {"n", "cart", "max_iters", "seed", "max_bits", "max_errors"}
-_FLOAT_FIELDS = {"snr_lo", "snr_hi", "snr_step"}
-_INT_TUPLES = {"memories", "lengths", "delays"}
-_FLOAT_TUPLES = {"targets"}
-
-
 def spec_to_metadata(spec: ExperimentSpec) -> dict[str, str]:
     meta: dict[str, str] = {}
     for f in fields(spec):
@@ -132,23 +127,19 @@ def spec_to_metadata(spec: ExperimentSpec) -> dict[str, str]:
     return meta
 
 
+def _from_text(hint, raw: str):
+    """Parse one metadata value by its field's declared type."""
+    if get_origin(hint) is tuple:
+        cast = get_args(hint)[0]
+        return tuple(cast(x) for x in raw.split(",")) if raw else ()
+    return hint(raw)
+
+
 def spec_from_metadata(meta: dict[str, str]) -> ExperimentSpec:
-    kwargs = {}
-    for f in fields(ExperimentSpec):
-        if f.name not in meta:
-            continue
-        raw = meta[f.name]
-        if f.name in _INT_FIELDS:
-            kwargs[f.name] = int(raw)
-        elif f.name in _FLOAT_FIELDS:
-            kwargs[f.name] = float(raw)
-        elif f.name in _INT_TUPLES:
-            kwargs[f.name] = tuple(int(x) for x in raw.split(",")) if raw else ()
-        elif f.name in _FLOAT_TUPLES:
-            kwargs[f.name] = tuple(float(x) for x in raw.split(",")) if raw else ()
-        else:
-            kwargs[f.name] = raw
-    return ExperimentSpec(**kwargs)
+    hints = get_type_hints(ExperimentSpec)
+    return ExperimentSpec(**{f.name: _from_text(hints[f.name], meta[f.name])
+                             for f in fields(ExperimentSpec)
+                             if f.name in meta})
 
 
 @dataclass(frozen=True)
@@ -219,15 +210,12 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
     while bits_done < spec.max_bits and errors < spec.max_errors:
         nb = BATCH_CODEWORDS
         info = np.empty((nb, code.info_bits), dtype=np.uint8)
-        tx = np.empty((nb, code.coupling_len + code.memory, code.N), dtype=np.uint8)
-        noise = np.empty(tx.shape)
+        y = np.empty((nb, code.coupling_len + code.memory, code.N))
         for j in range(nb):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((spec.seed, point_index, trial + j))))
             info[j] = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
-            tx[j] = encode_bmst(code, info[j])
-            noise[j] = rng.standard_normal(tx[j].shape)
-        y = (1.0 - 2.0 * tx) + sigma * noise
+            y[j] = transmit(encode_bmst(code, info[j]), sigma, rng)
         dec = decode_sequence(code, llr_demap(y, sigma), config)
         errors += int((dec != info).sum())
         bits_done += info.size
@@ -242,14 +230,23 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
 def run_ber_sweep(spec: ExperimentSpec) -> str:
     """Window-decoder BER over the SNR sweep, with the genie bound column."""
     spec.validate()
-    rows = []
-    for idx, g in enumerate(spec.snr_points()):
-        p = simulate_ber_point(spec, g, idx)
-        rows.append((p.ebn0_db, p.bits_simulated, p.bit_errors, p.ber,
-                     p.lower_bound_ber, p.standard_error))
-    cols = ["ebn0_db", "bits_simulated", "bit_errors", "ber",
-            "lower_bound_ber", "standard_error"]
-    return _csv_text(spec, cols, rows)
+    rows = [astuple(simulate_ber_point(spec, g, idx))
+            for idx, g in enumerate(spec.snr_points())]
+    return _csv_text(spec, [f.name for f in fields(BerPoint)], rows)
+
+
+def _threshold(spec: ExperimentSpec, small: SmallCode, memory: int,
+               delay: int, length: int,
+               target: float) -> tuple[float, float, str]:
+    """Threshold Eb/N0, sigma* and status of one search.  A bracket that
+    fails gives NaN values and a ``no-bracket:`` status."""
+    try:
+        res = threshold_search(ThresholdQuery(
+            small, memory, delay, length, target, spec.snr_lo, spec.snr_hi,
+            resolution_db=spec.snr_step, i_max=spec.max_iters))
+    except BracketError as exc:
+        return math.nan, math.nan, f"no-bracket: {exc}"
+    return res.ebn0_star_db, res.sigma_star, "ok"
 
 
 def run_threshold_vs_l(spec: ExperimentSpec) -> tuple[str, int]:
@@ -262,27 +259,18 @@ def run_threshold_vs_l(spec: ExperimentSpec) -> tuple[str, int]:
     spec.validate()
     small = make_small_code(spec.kind, spec.n)
     rows = []
-    failures = 0
     for m in spec.memories:
         for L in spec.lengths:
             rate = float(coupled_rate(small.k, small.n, m, L))
             cap = bpsk_capacity_ebn0_db(rate)
             d = spec.delay_for(m)
-            try:
-                query = ThresholdQuery(small, m, d, L, spec.targets[0],
-                                       spec.snr_lo, spec.snr_hi,
-                                       resolution_db=spec.snr_step,
-                                       i_max=spec.max_iters)
-                res = threshold_search(query)
-                rows.append((spec.kind, m, L, d, rate, res.sigma_star,
-                             res.ebn0_star_db, cap, res.ebn0_star_db - cap, "ok"))
-            except BracketError as exc:
-                failures += 1
-                rows.append((spec.kind, m, L, d, rate, math.nan, math.nan,
-                             cap, math.nan, f"no-bracket: {exc}"))
+            star, sigma_star, status = _threshold(spec, small, m, d, L,
+                                                  spec.targets[0])
+            rows.append((spec.kind, m, L, d, rate, sigma_star, star, cap,
+                         star - cap, status))
     cols = ["family", "memory", "length", "delay", "rate", "sigma_star",
             "ebn0_star_db", "capacity_ebn0_db", "gap_to_capacity_db", "status"]
-    return _csv_text(spec, cols, rows), failures
+    return _csv_text(spec, cols, rows), sum(r[-1] != "ok" for r in rows)
 
 
 def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
@@ -296,7 +284,6 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
     small = make_small_code(spec.kind, spec.n)
     L = spec.length
     rows = []
-    failures = 0
     for m in spec.memories:
         delays = spec.delays if spec.delays else (m, 3 * m)
         # The bound does not depend on the delay.
@@ -305,21 +292,12 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
                   for target in spec.targets]
         for d in delays:
             for target, bound_db in zip(spec.targets, bounds):
-                try:
-                    query = ThresholdQuery(small, m, d, L, target,
-                                           spec.snr_lo, spec.snr_hi,
-                                           resolution_db=spec.snr_step,
-                                           i_max=spec.max_iters)
-                    res = threshold_search(query)
-                    rows.append((spec.kind, m, d, L, target,
-                                 res.ebn0_star_db, bound_db, "ok"))
-                except BracketError as exc:
-                    failures += 1
-                    rows.append((spec.kind, m, d, L, target, math.nan,
-                                 bound_db, f"no-bracket: {exc}"))
+                star, _, status = _threshold(spec, small, m, d, L, target)
+                rows.append((spec.kind, m, d, L, target, star, bound_db,
+                             status))
     cols = ["family", "memory", "delay", "length", "target_ber",
             "ebn0_star_db", "genie_bound_ebn0_db", "status"]
-    return _csv_text(spec, cols, rows), failures
+    return _csv_text(spec, cols, rows), sum(r[-1] != "ok" for r in rows)
 
 
 def run_lower_bound_table(spec: ExperimentSpec) -> str:
@@ -354,8 +332,8 @@ def run_encode_debug(spec: ExperimentSpec) -> str:
 
 
 def run_spec(spec: ExperimentSpec) -> tuple[str, int]:
-    """Dispatch a spec to its runner; returns (csv_text, bracket_failures)."""
-    spec.validate()
+    """Dispatch a spec to its runner; returns (csv_text, bracket_failures).
+    Each runner validates the spec."""
     if spec.command == "ber":
         return run_ber_sweep(spec), 0
     if spec.command == "threshold-vs-l":

@@ -139,8 +139,6 @@ def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows,
             terms.append(val[..., code.perms[j]])
         if t <= x <= t_end:
             receivers.append(j)
-    if not receivers:
-        return
     outs = leave_one_out_boxplus(terms, needed=[j + 1 for j in receivers])
     for j in receivers:
         act.ppm[s - j - t, j] = outs[j + 1][..., code.perms_inv[j]]

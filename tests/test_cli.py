@@ -9,8 +9,8 @@ import pytest
 
 import bmst
 from bmst.cli import main, spec_from_args
-from bmst.harness import (parse_metadata, replay, spec_from_metadata,
-                          strip_timestamp)
+from bmst.harness import (SpecError, parse_metadata, replay,
+                          spec_from_metadata, strip_timestamp)
 
 
 def test_flag_parsing():
@@ -125,16 +125,37 @@ def test_key_the_command_does_not_read_exit_2(tmp_path, capsys, command,
                                                flag, value):
     argv = [command, *TINY[command].split()]
     assert main(argv) in (0, 3)
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, value])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid spec:") and flag in err
     key = flag[2:].replace("-", "_")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}={value}\n")
-    capsys.readouterr()
     assert main(argv + ["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "error: invalid spec:" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--cart"],                      # a flag without its value
+    ["encode", "--code", "rc:2", "--seed"],
+    [],                                     # no subcommand
+    ["simulate"],                           # an unknown subcommand
+])
+def test_bad_command_line_is_an_invalid_spec(capsys, argv):
+    with pytest.raises(SpecError):
+        spec_from_args(argv)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: invalid spec:")
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["ber", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--max-bits" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, flag, value", [

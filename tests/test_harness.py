@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bmst.basic_codes import ber_basic, make_small_code
+from bmst.cli import main, spec_from_args
+from bmst.exit_engine import genie_bound_ebn0_at_target
 from bmst.harness import (BATCH_CODEWORDS, ExperimentSpec, SpecError,
                           parse_metadata, replay, run_ber_sweep,
                           run_lower_bound_table, run_spec,
@@ -22,9 +25,20 @@ def tiny_ber_spec(**over):
 
 
 def test_spec_metadata_round_trip():
-    spec = tiny_ber_spec(targets=(1e-3, 1e-5), out="x.csv")
-    meta = spec_to_metadata(spec)
-    assert spec_from_metadata(meta) == spec
+    # every field off its default, so each declared type goes through the codec
+    spec = ExperimentSpec(command="threshold-vs-target", kind="spc", n=5,
+                          cart=7, memories=(2, 3), lengths=(20, 30),
+                          delays=(4, 5), max_iters=77, seed=9, snr_lo=-1.5,
+                          snr_hi=7.25, snr_step=0.125, targets=(1e-3, 2.5e-5),
+                          max_bits=1234, max_errors=56, out="x.csv")
+    default = ExperimentSpec(command="ber")
+    back = spec_from_metadata(spec_to_metadata(spec))
+    assert back == spec
+    for f in fields(ExperimentSpec):
+        value = getattr(spec, f.name)
+        assert value != getattr(default, f.name), f.name
+        # (2,) == (2.0,), so compare the types too
+        assert repr(getattr(back, f.name)) == repr(value), f.name
 
 
 def test_spec_validation():
@@ -169,6 +183,27 @@ def test_threshold_vs_target_csv():
     star6, bound6 = by_target[1e-6]
     assert star6 >= bound6 - 0.02
     assert star6 - bound6 < 0.5
+
+
+def test_threshold_vs_target_bracket_failure_recorded(tmp_path):
+    # rc:2 already passes at 10 dB, so the bracket fails
+    argv = ["threshold-vs-target", "--code", "rc:2", "--memory", "1",
+            "--length", "10", "--delay", "3", "--target-ber", "1e-5",
+            "--snr", "10:14:0.05"]
+    spec = spec_from_args(argv)
+    text, failures = run_threshold_vs_target(spec)
+    assert failures == 1
+    rows = [line.split(",") for line in text.splitlines()
+            if line and not (line.startswith("#") or line.startswith("family"))]
+    assert len(rows) == 1
+    star, bound, status = rows[0][5], rows[0][6], rows[0][7]
+    assert math.isnan(float(star))
+    assert float(bound) == genie_bound_ebn0_at_target(
+        make_small_code("rc", 2), 1, 10, 1e-5, seed=spec.seed)
+    assert status.startswith("no-bracket: ")
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert out.read_text().splitlines()[-2:] == text.splitlines()[-2:]
 
 
 def test_threshold_vs_target_default_delays_cover_m_and_3m():
