@@ -10,9 +10,9 @@ the chain succeeds.
 The recursion tracks one scalar MI per edge class under the consistent-
 Gaussian assumption; interleavers are MI-transparent in the ensemble limit,
 so the Cartesian order drops out and only the small-code family matters.
-Next to each MI it keeps the variance of the same message in the domain of
-the node that adds it up, so a node sums variances and converts with one
-J and one J-duality map (``jdual``) per message rather than a J inversion.
+Each message is one number, the std its sender computes; the receiver
+reads it as a variance in its own domain through the J-duality map
+(``jdual``), so a node sums variances and needs no J inversion.
 Decided layers keep (freeze) their final outgoing MI rather than being
 forced to 1, which is what makes error propagation into later windows
 visible at low SNR.
@@ -101,15 +101,16 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     layer.  On success the target layer's outgoing MI freeze at their final
     values and the window shifts; on failure the run stops.
 
-    The state is the MI of every message plus its variance in the domain of
-    the node that receives it.  With ``a`` the sum of a node's other input
-    variances, a parity node sends MI 1 - J(sqrt(a)) and variance
-    ``jdual(sqrt(a))**2``; an equality node sends MI J(sqrt(a)) and weight
+    The state is one number per message, the std ``sqrt(a)`` its sender
+    computes from ``a``, the sum of its other input variances.  A parity
+    node's message has MI 1 - J(sqrt(a)), an equality node's J(sqrt(a));
+    either receiver reads it as the variance (or weight)
     ``jdual(sqrt(a))**2``.  The code node's extrinsic variance is
     (n-1) * total for RC and ``jdual(sqrt(n-1) * jdual(sqrt(total)))**2``
     for SPC: the variance forms of
     :func:`~bmst.basic_codes.exit_transfer_c`, which the convergence check
-    still evaluates in the MI domain.
+    still evaluates in the MI domain.  The fixed-point test and the
+    steady-state shortcut compare MI, which an unchanged std leaves alone.
 
     Mid-chain windows repeat verbatim once their frozen inputs stop
     changing; ``steady_state_shortcut`` detects that and skips ahead, which
@@ -125,10 +126,10 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     w_ch = jinv(1.0 - i_ch) ** 2
 
     q = m + 1
-    epm = [[0.0] * q for _ in range(L)]
-    w_epm = [[_INF] * q for _ in range(L)]
-    ppm = [[0.0] * q for _ in range(L)]
-    v_ppm = [[0.0] * q for _ in range(L)]
+    # sigma of each message, by its receiver's side: MI 0 is sigma 0 toward
+    # a parity node and sigma inf toward an equality node.
+    to_plus = [[0.0] * q for _ in range(L)]
+    to_eq = [[_INF] * q for _ in range(L)]
     p_trace = np.full(L, np.nan)
 
     # Module attributes are looked up once per run, so a wrapped jfun, jdual
@@ -141,14 +142,23 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     inf = _INF
     tol = FIXED_POINT_TOL
 
+    def variances(row):
+        """A row's messages as variances in the receiver's domain, and
+        their sum."""
+        v = [j_dual(s) ** 2 for s in row]
+        total = 0.0
+        for vi in v:
+            total += vi
+        return v, total
+
     def plus_plan(s: int, t: int, t_end: int):
         """Parity node s in window [t, t_end]: how many of its edges carry
-        MI 0 from beyond the window, the equality-node weights it reads (in
-        edge order) and the edges it writes.  Edges past either end of the
-        chain carry a known codeword (MI 1, weight 0) and drop out."""
+        MI 0 from beyond the window, and per edge it reads (in edge order)
+        the equality-node row and index, plus the row it answers into, or
+        None left of the window.  Edges past either end of the chain carry a
+        known codeword (MI 1, weight 0) and drop out."""
         n_inf = 0
-        reads = []
-        writes = []
+        edges = []
         for j in range(q):
             x = s - j
             if x < 0 or x >= L:
@@ -156,24 +166,23 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
             if x > t_end:
                 n_inf += 1
                 continue
-            reads.append((w_epm[x], j))
-            if x >= t:
-                writes.append((w_epm[x], j, ppm[x], v_ppm[x]))
-        return n_inf, reads, writes
+            edges.append((to_plus[x], j, to_eq[x] if x >= t else None))
+        return n_inf, edges
 
     def plus_node(plan, moved: bool) -> bool:
         """Update one parity node; returns whether any message of the sweep
         so far moved by more than ``tol``."""
-        n_inf, reads, writes = plan
+        n_inf, edges = plan
+        weights = [j_dual(prow[j]) ** 2 for prow, j, _ in edges]
         fin = 0.0
-        for wrow, j in reads:
-            w = wrow[j]
+        for w in weights:
             if w == inf:
                 n_inf += 1
             else:
                 fin += w
-        for wrow, j, prow, vrow in writes:
-            w = wrow[j]
+        for (_, j, erow), w in zip(edges, weights):
+            if erow is None:
+                continue
             if w == inf:
                 others_inf = n_inf - 1
                 others_fin = fin
@@ -181,41 +190,34 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                 others_inf = n_inf
                 others_fin = fin - w
             if others_inf:
-                out = var = 0.0
+                sa = inf
             else:
                 a = w_ch + others_fin
                 sa = sqrt(0.0 if a < 0.0 else a)
-                out = 1.0 - j_fun(sa)
-                var = j_dual(sa) ** 2
-            if not moved:
-                diff = out - prow[j]
+            old = erow[j]
+            if not moved and sa != old:
+                diff = (1.0 - j_fun(sa)) - (1.0 - j_fun(old))
                 moved = diff > tol or -diff > tol
-            prow[j] = out
-            vrow[j] = var
+            erow[j] = sa
         return moved
 
     def eq_c_node(tp: int, moved: bool) -> bool:
         """Update the equality and code nodes of layer tp; returns the
         running ``moved`` flag as :func:`plus_node` does."""
-        v = v_ppm[tp]
-        total = 0.0
-        for vi in v:
-            total += vi
+        v, total = variances(to_eq[tp])
         if rc:
             v_c = n_other * total
         else:
             v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
-        row = epm[tp]
-        wrow = w_epm[tp]
+        row = to_plus[tp]
         for i in range(q):
             a = total - v[i] + v_c
             sa = sqrt(0.0 if a < 0.0 else a)
-            val = j_fun(sa)
-            if not moved:
-                diff = val - row[i]
+            old = row[i]
+            if not moved and sa != old:
+                diff = j_fun(sa) - j_fun(old)
                 moved = diff > tol or -diff > tol
-            row[i] = val
-            wrow[i] = j_dual(sa) ** 2
+            row[i] = sa
         return moved
 
     def run_window(t: int) -> ConvergenceCheck:
@@ -225,7 +227,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         tail_plans = [plus_plan(s, t, t_end) for s in tail]
         for _ in range(i_max):
             # A sweep is a fixed point when no message of the window's layers
-            # moves by more than tol; each is written once per sweep.
+            # moves by more than tol in MI; each is written once per sweep.
             moved = False
             for tp, plan in rows:
                 moved = plus_node(plan, moved)
@@ -234,18 +236,16 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                 moved = plus_node(plan, moved)
             if not moved:
                 break
-        total = 0.0
-        for vi in v_ppm[t]:
-            total += vi
-        i_a = j_fun(sqrt(total))
+        i_a = j_fun(sqrt(variances(to_eq[t])[1]))
         return convergence_check(i_a, transfer(small, i_a), target_ber)
 
     def snapshot_band(t: int, t_end: int):
+        """The MI of the messages a window reads and writes."""
         band = []
         for x in range(t - m, t_end + 1):
-            band.extend(epm[x])
+            band.extend(j_fun(s) for s in to_plus[x])
         for x in range(t, t_end + 1):
-            band.extend(ppm[x])
+            band.extend(1.0 - j_fun(s) for s in to_eq[x])
         return band
 
     last_mid = L - 1 - d - m  # last window whose references stay mid-chain
@@ -267,18 +267,13 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                     and all(abs(a - b) <= tol
                             for a, b in zip(band, prev_band))):
                 # Every window up to last_mid will repeat this one verbatim.
-                saved = [(list(epm[t + r]), list(w_epm[t + r]),
-                          list(ppm[t + r]), list(v_ppm[t + r]))
-                         for r in range(d + 1)]
+                saved_plus = [list(row) for row in to_plus[t:t + d + 1]]
+                saved_eq = [list(row) for row in to_eq[t:t + d + 1]]
+                p_trace[t + 1:last_mid + 1] = check.p_est
                 for x in range(t + 1, last_mid + 1):
-                    p_trace[x] = check.p_est
-                    epm[x] = list(epm[t])
-                    w_epm[x] = list(w_epm[t])
-                for r in range(d + 1):
-                    epm[last_mid + r] = list(saved[r][0])
-                    w_epm[last_mid + r] = list(saved[r][1])
-                    ppm[last_mid + r] = list(saved[r][2])
-                    v_ppm[last_mid + r] = list(saved[r][3])
+                    to_plus[x] = list(to_plus[t])
+                to_plus[last_mid:last_mid + d + 1] = saved_plus
+                to_eq[last_mid:last_mid + d + 1] = saved_eq
                 t = last_mid + 1
                 continue
             prev_band = band

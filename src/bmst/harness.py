@@ -84,6 +84,9 @@ class ExperimentSpec:
             raise SpecError(f"delays must be non-negative, got {self.delays}")
         if self.max_iters < 1:
             raise SpecError(f"max_iters must be positive, got {self.max_iters}")
+        snr = (self.snr_lo, self.snr_hi, self.snr_step)
+        if not all(map(math.isfinite, snr)):
+            raise SpecError(f"snr bounds and step must be finite, got {snr}")
         if self.snr_step <= 0 or self.snr_hi < self.snr_lo:
             raise SpecError("need snr_lo <= snr_hi and snr_step > 0")
         if self.command.startswith("threshold") and self.snr_hi <= self.snr_lo:

@@ -132,6 +132,17 @@ class _Tables:
             return 0.0
         return y if y < 1.0 else 1.0
 
+    def slope(self, x: float) -> float:
+        """J'(x) from the interval ``eval`` reads; 0 from ``SIGMA_MAX`` on."""
+        if x >= SIGMA_MAX:
+            return 0.0
+        i = int(x * _INV_STEP)
+        if i >= _N_INT:
+            i = _N_INT - 1
+        u = x - i * _STEP
+        _, c1, c2, c3 = self._coef[i]
+        return c1 + u * (2.0 * c2 + 3.0 * c3 * u)
+
 
 _TABLE: _Tables | None = None
 
@@ -282,35 +293,17 @@ def jinv(mi):
         else:
             a = inv_sigma[k]
             s = a + (r - k) * (inv_sigma[k + 1] - a)
-    # Safeguarded Newton on the spline; J and J' are evaluated inline (the
-    # arithmetic of _Tables.eval and its derivative) from one lookup of the
-    # interval's coefficients.
-    coef = tab._coef
-    last = _N_INT - 1
+    # Safeguarded Newton on the spline.
     lo, hi = 0.0, SIGMA_MAX
     for _ in range(30):
-        inside = s < SIGMA_MAX
-        if inside:
-            i = int(s * _INV_STEP)
-            if i > last:
-                i = last
-            u = s - i * _STEP
-            c0, c1, c2, c3 = coef[i]
-            y = c0 + u * (c1 + u * (c2 + u * c3))
-            if y <= 0.0:
-                y = 0.0
-            elif y >= 1.0:
-                y = 1.0
-        else:
-            y = 1.0
-        f = y - mi
+        f = tab.eval(s) - mi
         if -1e-13 <= f <= 1e-13:
             break
         if f > 0.0:
             hi = s
         else:
             lo = s
-        d = c1 + u * (2.0 * c2 + 3.0 * c3 * u) if inside else 0.0
+        d = tab.slope(s)
         nxt = s - f / d if d > 0.0 else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)

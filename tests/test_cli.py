@@ -150,6 +150,21 @@ def test_bad_command_line_is_an_invalid_spec(capsys, argv):
     assert capsys.readouterr().err.startswith("error: invalid spec:")
 
 
+@pytest.mark.parametrize("snr", ["nan:14:0.01", "0:nan:0.01", "0:14:nan",
+                                 "-inf:14:0.01", "0:inf:0.01", "0:14:inf",
+                                 "-inf:inf:0.01"])
+def test_non_finite_snr_is_an_invalid_spec(snr):
+    # a NaN or infinite bound never ends a bisection or an SNR sweep
+    with pytest.raises(SpecError):
+        spec_from_args(["ber", "--snr=" + snr]).validate()
+
+
+def test_nan_snr_exit_2(capsys):
+    assert main(["threshold-vs-l", "--snr", "nan:14:0.01",
+                 "--length", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid spec:")
+
+
 def test_help_still_exits_0(capsys):
     for argv in (["--help"], ["ber", "--help"]):
         with pytest.raises(SystemExit) as exc:

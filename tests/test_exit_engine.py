@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +146,27 @@ class TestExitWindowRun:
             exit_window_run(RC2, -1, 3, 10, 5.0, 1e-3)
         with pytest.raises(ValueError):
             exit_window_run(RC2, 1, 3, 10, 5.0, 0.7)
+
+
+# Eleven runs, RC and SPC, m = 0-3, shortcut on and off; six take the
+# steady-state shortcut and two fail (at layers 1 and 3).
+GOLDEN_RUNS = json.loads(
+    (Path(__file__).parent / "golden" / "exit_window_runs.json").read_text())
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS, ids=lambda r: (
+    f"{r['code']}-m{r['memory']}-d{r['delay']}-L{r['length']}-"
+    f"{r['ebn0_db']}dB-{r['target_ber']}-"
+    f"{'shortcut' if r['steady_state_shortcut'] else 'honest'}"))
+def test_window_run_is_bit_exact(run):
+    kind, n = run["code"].split(":")
+    res = exit_window_run(make_small_code(kind, int(n)), run["memory"],
+                          run["delay"], run["length"], run["ebn0_db"],
+                          run["target_ber"],
+                          steady_state_shortcut=run["steady_state_shortcut"])
+    assert [float(x).hex() for x in res.p_est] == run["p_est"]
+    assert (res.success, res.fail_layer, res.windows_computed) == (
+        run["success"], run["fail_layer"], run["windows_computed"])
 
 
 class TestThresholdSearch:
