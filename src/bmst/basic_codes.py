@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ebn0_to_sigma, llr_demap, transmit
 from .jfun import jfun, jinv, qfunc
-from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus
+from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus, tanh_half
 
 RC = "rc"
 SPC = "spc"
@@ -122,17 +122,16 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
     if cw.shape[-1] != code.N:
         raise ValueError(f"expected {code.N} codeword LLRs, got {cw.shape[-1]}")
     lead = cw.shape[:-1]
-    if src_apriori is None:
-        src = np.zeros(lead + (code.K,))
-    else:
+    # An absent source adds +0.0, which only turns -0.0 into +0.0.
+    src = 0.0
+    if src_apriori is not None:
         src = clip_llr(np.asarray(src_apriori, dtype=float))
         if src.shape[-1] != code.K:
             raise ValueError(f"expected {code.K} source LLRs, got {src.shape[-1]}")
-    n, k, B = code.small.n, code.small.k, code.cart_order
-    cwb = cw.reshape(lead + (B, n))
-    srcb = src.reshape(lead + (B, k))
+    n, k = code.small.n, code.small.k
 
     if code.small.kind == RC:
+        cwb = cw.reshape(lead + (code.cart_order, n))
         if n < 8:
             # numpy sums fewer than 8 terms one by one from +0.0; adding the
             # columns in that order gives the same bits at a fraction of the
@@ -142,16 +141,21 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
                 cw_sum = cw_sum + cwb[..., j]
         else:
             cw_sum = cwb.sum(axis=-1)
-        total = srcb[..., 0] + cw_sum
+        total = src + cw_sum  # K == B: one source bit per block
         ext = np.clip(total[..., None] - cwb, -LLR_CLIP, LLR_CLIP)
         app = np.clip(total, -LLR_CLIP, LLR_CLIP)[..., None]
     else:
-        eff = cwb.copy()
-        eff[..., :k] += srcb
-        cols = [eff[..., j] for j in range(n)]
-        ext_cols = leave_one_out_boxplus(cols)
-        ext = np.stack(ext_cols, axis=-1)
-        app = np.clip(eff[..., :k] + ext[..., :k], -LLR_CLIP, LLR_CLIP)
+        # One contiguous row per bit position of the small code, so the
+        # tanh and every product run over contiguous memory.
+        rows = cw.reshape(-1, n)
+        eff = np.empty((n, rows.shape[0]))
+        srcb = src if src_apriori is None else src.reshape(-1, k).T
+        np.add(rows[:, :k].T, srcb, out=eff[:k])
+        eff[k:] = rows[:, k:].T
+        th = list(tanh_half(eff))
+        ext = np.stack(leave_one_out_boxplus(list(eff), th=th), axis=-1)
+        app = np.add(eff[:k].T, ext[:, :k])
+        np.clip(app, -LLR_CLIP, LLR_CLIP, out=app)
     return ext.reshape(lead + (code.N,)), app.reshape(lead + (code.K,))
 
 

@@ -21,27 +21,58 @@ def clip_llr(x):
                    -LLR_CLIP, LLR_CLIP)
 
 
-def leave_one_out_boxplus(terms, needed=None):
+def tanh_half(x):
+    """``tanh(x/2)``, the domain in which parity checks multiply; arrays
+    come back as a new C-ordered array."""
+    th = np.multiply(x, 0.5, order="C")
+    return np.tanh(th, out=th) if isinstance(th, np.ndarray) else np.tanh(th)
+
+
+def leave_one_out_boxplus(terms, needed=None, th=None):
     """For q input arrays return q outputs, the parity-check combine of all
     other inputs: out[i] = 2*atanh(prod over j != i of tanh(terms[j]/2)).
 
     Prefix/suffix products in the tanh domain keep the cost linear in q.
     With a single input the output is full certainty (``LLR_CLIP``).
     ``needed`` optionally restricts which output indices are materialized
-    (the rest are None).
+    (the rest are None).  ``th`` optionally lists ``tanh(terms[i]/2)``
+    already computed by the caller, with None where this function should
+    compute it; the function never writes into those arrays.
     """
     q = len(terms)
-    want = range(q) if needed is None else set(needed)
-    th = [np.tanh(np.multiply(t, 0.5)) for t in terms]
-    prefix = [1.0]
-    for i in range(q - 1):
-        prefix.append(prefix[-1] * th[i])
-    suffix = 1.0
+    want = sorted(range(q) if needed is None else set(needed))
     outs = [None] * q
+    if not want:
+        return outs
+    # A lone wanted output never reads its own term's tanh.
+    lone = want[0] if len(want) == 1 else None
+    th = [h if h is not None or i == lone else tanh_half(t)
+          for i, (t, h) in enumerate(zip(terms, th or [None] * q))]
+    # prefix[i] = th[0] * ... * th[i-1] and suffix = th[q-1] * ... * th[i+1],
+    # each multiplied in that order; None is the empty product, so no array
+    # is ever multiplied by 1.0.  A product of two or more factors is a new
+    # array that the output may reuse.
+    prefix = [None]
+    for i in range(want[-1]):
+        prefix.append(th[i] if i == 0 else prefix[-1] * th[i])
+    suffix = None
     with np.errstate(divide="ignore"):
-        for i in range(q - 1, -1, -1):
+        for i in range(q - 1, want[0] - 1, -1):
             if i in want:
-                outs[i] = np.clip(2.0 * np.arctanh(prefix[i] * suffix),
-                                  -LLR_CLIP, LLR_CLIP)
-            suffix = suffix * th[i]
+                if prefix[i] is not None and suffix is not None:
+                    outs[i] = _from_product(prefix[i] * suffix, True)
+                else:
+                    one = suffix if prefix[i] is None else prefix[i]
+                    outs[i] = _from_product(1.0 if one is None else one, q > 2)
+            if i > want[0]:
+                suffix = th[i] if suffix is None else suffix * th[i]
     return outs
+
+
+def _from_product(p, owned):
+    """``clip(2*atanh(p))``; written into ``p`` itself when ``owned``."""
+    if not isinstance(p, np.ndarray):
+        return np.clip(2.0 * np.arctanh(p), -LLR_CLIP, LLR_CLIP)
+    r = np.arctanh(p, out=p if owned else None)
+    np.multiply(r, 2.0, out=r)
+    return np.clip(r, -LLR_CLIP, LLR_CLIP, out=r)

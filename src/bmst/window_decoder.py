@@ -30,7 +30,7 @@ import numpy as np
 
 from .basic_codes import encode_basic, siso_decode_basic
 from .encoder import BmstCode
-from .llr import LLR_CLIP, leave_one_out_boxplus
+from .llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
 
 
 @dataclass
@@ -84,43 +84,56 @@ class WindowState:
 class _ActiveRows:
     """Window-local arrays of the trials that are still iterating.
 
-    The trial axis sits after the layer axes: ``channel[k]`` is block
-    ``position + k`` and ``feedback[k]`` is decided layer
-    ``position - len(feedback) + k``.  ``epm[w, i]``, shaped
-    ``(trials, N)``, is the message from the equality node of layer
-    ``position + w`` toward parity node ``position + w + i``; ``ppm[w, i]``
-    flows the opposite way.  Both live in the codeword-bit (pre-permutation)
-    domain.  ``rows`` maps each trial to its index in the flattened batch.
+    The trial axis sits after the layer axes.  The terms that stay fixed for
+    the whole window are computed once, when it starts: ``channel[k]`` is
+    block ``position + k`` and ``channel_th[k]`` its ``tanh(x/2)``;
+    ``feedback[x, j]`` pairs decided layer ``x`` as parity node ``x + j``
+    sees it (already permuted by ``perms[j]``) with its ``tanh(x/2)``.
+
+    ``epm[w, i]``, shaped ``(trials, N)``, is the message from the equality
+    node of layer ``position + w`` toward parity node ``position + w + i``;
+    ``ppm[w, i]`` flows the opposite way.  Both live in the codeword-bit
+    (pre-permutation) domain.  Each direction has two buffers: a sweep
+    writes every message of ``epm``/``ppm`` once and reads the ones it has
+    not yet rewritten, the previous sweep's, from ``old_epm``/``old_ppm``.
+    Left out, the old buffers are the new ones, which is the same schedule
+    run in place.  ``rows`` maps each trial to its index in the flattened
+    batch.
     """
 
     rows: np.ndarray
     channel: np.ndarray
-    feedback: np.ndarray
+    feedback: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     epm: np.ndarray
     ppm: np.ndarray
+    channel_th: np.ndarray | None = None
+    old_epm: np.ndarray | None = None
+    old_ppm: np.ndarray | None = None
 
-    def subset(self, keep: np.ndarray) -> "_ActiveRows":
-        return _ActiveRows(self.rows[keep], self.channel[:, keep],
-                           self.feedback[:, keep], self.epm[:, :, keep],
-                           self.ppm[:, :, keep])
+    def __post_init__(self) -> None:
+        if self.old_epm is None:
+            self.old_epm = self.epm
+        if self.old_ppm is None:
+            self.old_ppm = self.ppm
 
+    def subset(self, keep: np.ndarray) -> None:
+        """Keep only the trials where ``keep`` is set.  Each array is
+        replaced on its own, so at most one array has an old and a new copy
+        in memory at a time."""
+        self.rows = self.rows[keep]
+        self.channel = self.channel[:, keep]
+        self.channel_th = self.channel_th[:, keep]
+        self.feedback = {key: (llr[keep], th[keep])
+                         for key, (llr, th) in self.feedback.items()}
+        self.epm = self.epm[:, :, keep]
+        self.old_epm = self.old_epm[:, :, keep]
+        self.ppm = self.ppm[:, :, keep]
+        self.old_ppm = self.old_ppm[:, :, keep]
 
-def _local(x: np.ndarray, start: int, stop: int, trials: int) -> np.ndarray:
-    """Blocks ``start:stop`` of ``(..., blocks, N)`` as ``(blocks, trials, N)``."""
-    part = x[..., start:stop, :]
-    return part.reshape((trials,) + part.shape[-2:]).swapaxes(0, 1).copy()
-
-
-def _edge_out(code: BmstCode, state: WindowState, act: _ActiveRows, x: int,
-              i: int):
-    """Message from the equality node of layer x toward parity node x+i."""
-    if x < 0 or x >= code.coupling_len:
-        return LLR_CLIP  # termination: known all-zero codeword
-    if x < state.position:
-        return act.feedback[x - state.position]
-    if x > state.layer_end:
-        return 0.0
-    return act.epm[x - state.position, i]
+    def swap(self) -> None:
+        """Make the newest messages the old ones before a sweep."""
+        self.epm, self.old_epm = self.old_epm, self.epm
+        self.ppm, self.old_ppm = self.old_ppm, self.ppm
 
 
 def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows,
@@ -129,19 +142,31 @@ def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows,
     m = code.memory
     t, t_end = state.position, state.layer_end
     terms = [act.channel[s - t]]
+    th = [act.channel_th[s - t]]
     receivers = []
     for j in range(m + 1):
         x = s - j
-        val = _edge_out(code, state, act, x, j)
-        if isinstance(val, float):
-            terms.append(val)
+        h = None
+        if x < 0 or x >= code.coupling_len:
+            term = LLR_CLIP  # termination: known all-zero codeword
+        elif x < t:
+            term, h = act.feedback[x, j]
+        elif x > t_end:
+            term = 0.0
         else:
-            terms.append(val[..., code.perms[j]])
-        if t <= x <= t_end:
+            # layer s speaks after this node in a sweep, layers left of it
+            # before
+            msgs = act.old_epm if j == 0 else act.epm
+            term = msgs[x - t, j][..., code.perms[j]]
             receivers.append(j)
-    outs = leave_one_out_boxplus(terms, needed=[j + 1 for j in receivers])
+        terms.append(term)
+        th.append(h)
+    outs = leave_one_out_boxplus(terms, needed=[j + 1 for j in receivers],
+                                 th=th)
     for j in receivers:
-        act.ppm[s - j - t, j] = outs[j + 1][..., code.perms_inv[j]]
+        # the indices are valid; mode "clip" only spares take a buffer copy
+        np.take(outs[j + 1], code.perms_inv[j], axis=-1,
+                out=act.ppm[s - j - t, j], mode="clip")
 
 
 def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows,
@@ -149,12 +174,19 @@ def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows,
     """Equality and code-constraint updates of layer tp."""
     m = code.memory
     wi = tp - state.position
-    inc = act.ppm[wi]
-    total = inc.sum(axis=0)
+    # Parity node tp has just spoken; parity nodes tp+1.. speak later.
+    inc = [act.ppm[wi, 0]] + [act.old_ppm[wi, i] for i in range(1, m + 1)]
+    # numpy sums over a leading axis edge by edge from +0.0; so does this.
+    total = 0.0 + inc[0]
+    for msg in inc[1:]:
+        total += msg
     to_c = np.clip(total, -LLR_CLIP, LLR_CLIP)
     from_c, _ = siso_decode_basic(code.basic, to_c, assume_clipped=True)
     for i in range(m + 1):
-        act.epm[wi, i] = np.clip(total - inc[i] + from_c, -LLR_CLIP, LLR_CLIP)
+        out = act.epm[wi, i]
+        np.subtract(total, inc[i], out=out)
+        out += from_c
+        np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
 
 
 def _iterate(code: BmstCode, state: WindowState, act: _ActiveRows) -> None:
@@ -173,36 +205,47 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     """Run up to ``max_iters`` schedule sweeps and decide the target layer.
 
     Returns the hard decisions on the target layer's info bits and their APP
-    LLRs, shaped like the batch's lead axes plus ``(K,)``.  Each trial stops
-    on its own: once a sweep leaves every one of its messages unchanged, it
-    sits at an exact fixed point and further sweeps would be no-ops, so it
-    leaves the active set and later sweeps skip it.  Otherwise it stops
-    after ``max_iters`` sweeps.  A trial's decisions and its work therefore
-    do not depend on its batch-mates.
+    LLRs, shaped like the batch's lead axes plus ``(K,)``.  The channel
+    blocks and the decided layers' feedback stay fixed for the window, so
+    their ``tanh(x/2)`` terms are computed once, before the first sweep.
+    Each sweep writes one message buffer per direction while the other
+    keeps the previous sweep's messages.  Each trial stops on its own: once
+    a sweep leaves every one of its messages unchanged (the two buffers
+    agree), it sits at an exact fixed point and further sweeps would be
+    no-ops, so it leaves the active set and later sweeps skip it.  Otherwise
+    it stops after ``max_iters`` sweeps.  A trial's decisions and its work
+    therefore do not depend on its batch-mates.
     """
     L, m, N = code.coupling_len, code.memory, code.N
     t = state.position
     lead = state.channel_llr.shape[:-2]
     trials = math.prod(lead)
     shape = (state.layer_end - t + 1, m + 1, trials, N)
-    act = _ActiveRows(
-        np.arange(trials),
-        _local(state.channel_llr, t, min(state.layer_end + m, L + m - 1) + 1,
-               trials),
-        _local(state.feedback_llr, max(t - m, 0), t, trials),
-        np.zeros(shape), np.zeros(shape))
+    # Blocks t..stop-1 as (blocks, trials, N): a view, as only its tanh
+    # enters the arithmetic.
+    stop = min(state.layer_end + m, L + m - 1) + 1
+    channel = state.channel_llr.reshape((trials, L + m, N))[:, t:stop]
+    channel = channel.swapaxes(0, 1)
+    decided = state.feedback_llr.reshape((trials, L, N))
+    feedback = {}
+    for x in range(max(t - m, 0), t):
+        for j in range(t - x, m + 1):
+            llr = decided[:, x, code.perms[j]]
+            feedback[x, j] = (llr, tanh_half(llr))
+    act = _ActiveRows(np.arange(trials), channel, feedback, np.zeros(shape),
+                      np.zeros(shape), tanh_half(channel), np.zeros(shape),
+                      np.zeros(shape))
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
     for _ in range(config.max_iters):
-        prev_epm = act.epm.copy()
-        prev_ppm = act.ppm.copy()
+        act.swap()
         _iterate(code, state, act)
-        moving = ~((act.epm == prev_epm).all(axis=(0, 1, 3))
-                   & (act.ppm == prev_ppm).all(axis=(0, 1, 3)))
+        moving = ~((act.epm == act.old_epm).all(axis=(0, 1, 3))
+                   & (act.ppm == act.old_ppm).all(axis=(0, 1, 3)))
         if not moving.all():
             done = ~moving
             target[:, act.rows[done]] = act.ppm[0][:, done]
-            act = act.subset(moving)
+            act.subset(moving)
             if not act.rows.size:
                 break
     target[:, act.rows] = act.ppm[0]

@@ -214,12 +214,22 @@ GOLDEN_RUNS = {
                      "--snr 0:4:2",
     "bound_spc4.csv": "bound --code spc:4 --memory 0,2 --length 50 "
                       "--snr 1:3:2",
+    # 10 of its 12 windows run to the iteration cap
+    "ber_spc4.csv": "ber --code spc:4 --cart 8 --memory 2 --length 6 "
+                    "--delay 4 --max-iters 12 --seed 3 --snr 1.5:2.5:1 "
+                    "--max-bits 1200 --max-errors 1000000",
+    # its trials leave the active set at different sweeps: 326 shrinks in
+    # 48 windows
+    "ber_rc2.csv": "ber --code rc:2 --cart 10 --memory 1 --length 8 "
+                   "--delay 3 --max-iters 30 --seed 4 --snr 3:5:1 "
+                   "--max-bits 5000 --max-errors 1000000",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_data_rows_match_golden(capsys, name):
-    # pins the permutation draws, the encoder and the bound's numbers
+    # pins the permutation draws, the encoder, the bound's numbers and the
+    # window decoder's decisions
     assert main(GOLDEN_RUNS[name].split()) == 0
     rows = data_rows(capsys.readouterr().out)
     assert rows.encode() == (GOLDEN / name).read_bytes()
