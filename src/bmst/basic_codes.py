@@ -106,13 +106,14 @@ def encode_basic(code: BasicCode, info: np.ndarray) -> np.ndarray:
 
 def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
                       src_apriori: np.ndarray | None = None,
-                      assume_clipped: bool = False):
+                      assume_clipped: bool = False, info_app: bool = True):
     """Exact symbol-MAP SISO decode, independently per block.
 
     ``cw_apriori`` carries N codeword-bit LLRs and ``src_apriori`` K source
     LLRs (defaults to all-zero, the equiprobable source).  Returns the
-    codeword-edge extrinsic LLRs and the info-bit APP LLRs.  Stacked inputs
-    are decoded along the last axis.  ``assume_clipped`` skips the input
+    codeword-edge extrinsic LLRs and the info-bit APP LLRs, or None in
+    place of the latter when ``info_app`` is false.  Stacked inputs are
+    decoded along the last axis.  ``assume_clipped`` skips the input
     sanitization for callers that guarantee finite, clipped LLRs.
     """
     if assume_clipped:
@@ -129,6 +130,7 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         if src.shape[-1] != code.K:
             raise ValueError(f"expected {code.K} source LLRs, got {src.shape[-1]}")
     n, k = code.small.n, code.small.k
+    app = None
 
     if code.small.kind == RC:
         cwb = cw.reshape(lead + (code.cart_order, n))
@@ -143,7 +145,8 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
             cw_sum = cwb.sum(axis=-1)
         total = src + cw_sum  # K == B: one source bit per block
         ext = np.clip(total[..., None] - cwb, -LLR_CLIP, LLR_CLIP)
-        app = np.clip(total, -LLR_CLIP, LLR_CLIP)[..., None]
+        if info_app:
+            app = np.clip(total, -LLR_CLIP, LLR_CLIP)[..., None]
     else:
         # One contiguous row per bit position of the small code, so the
         # tanh and every product run over contiguous memory.
@@ -154,9 +157,12 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         eff[k:] = rows[:, k:].T
         th = list(tanh_half(eff))
         ext = np.stack(leave_one_out_boxplus(list(eff), th=th), axis=-1)
-        app = np.add(eff[:k].T, ext[:, :k])
-        np.clip(app, -LLR_CLIP, LLR_CLIP, out=app)
-    return ext.reshape(lead + (code.N,)), app.reshape(lead + (code.K,))
+        if info_app:
+            app = np.add(eff[:k].T, ext[:, :k])
+            np.clip(app, -LLR_CLIP, LLR_CLIP, out=app)
+    if info_app:
+        app = app.reshape(lead + (code.K,))
+    return ext.reshape(lead + (code.N,)), app
 
 
 def exit_transfer_c(code: BasicCode | SmallCode, i_a: float) -> float:

@@ -9,8 +9,10 @@ timestamp line is informational and excluded from the comparison).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -192,13 +194,109 @@ def parse_metadata(text: str) -> dict[str, str]:
     return meta
 
 
+def _chunk_bit_errors(code, sigma: float, config: DecoderConfig, seed: int,
+                      point_index: int, trials: range) -> int:
+    """Draw, transmit and window-decode ``trials``; return their bit errors.
+
+    Trial j draws its info bits and noise from the stream seeded by
+    ``(seed, point_index, j)``.
+    """
+    info = np.empty((len(trials), code.info_bits), dtype=np.uint8)
+    y = np.empty((len(trials), code.coupling_len + code.memory, code.N))
+    for row, j in enumerate(trials):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, point_index, j))))
+        info[row] = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
+        y[row] = transmit(encode_bmst(code, info[row]), sigma, rng)
+    dec = decode_sequence(code, llr_demap(y, sigma), config)
+    return int((dec != info).sum())
+
+
+def _child_result(task, conn) -> None:
+    """Body of a forked child: send ``(True, task())``, or ``(False,
+    traceback)`` if the task raises.  The child exits after this, whether
+    or not its parent is still there to read the result."""
+    try:
+        result = (True, task())
+    except Exception:
+        import traceback
+        result = (False, traceback.format_exc())
+    conn.send(result)
+    conn.close()
+
+
+def _forked_sum(tasks: list) -> int:
+    """Sum of ``task()`` over ``tasks``: the first runs here, every other
+    one in a child forked for it alone.  The children are joined before
+    this returns or raises, and a child that fails or dies without a
+    result raises a ``RuntimeError`` naming its chunk."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for index, task in enumerate(tasks[1:], 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child_result, args=(task, send))
+            proc.start()
+            children.append((index, proc, recv))
+            # Only the child may hold the write end, so its exit ends the
+            # pipe and the parent's read never blocks on a dead child.
+            send.close()
+        total = tasks[0]()
+        for index, proc, recv in children:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"BER chunk {index}: its child exited with code "
+                    f"{proc.exitcode} without a result") from None
+            if not ok:
+                raise RuntimeError(f"BER chunk {index} failed in its child:\n"
+                                   f"{value}")
+            total += value
+    except BaseException:
+        for _, proc, _ in children:
+            if proc.is_alive():
+                proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in children:
+            proc.join()
+            recv.close()
+    return total
+
+
+def _worker_count() -> int:
+    """Processes a batch is split across: the CPUs this process may run on,
+    capped at one trial each.  It is 1 where ``fork`` or the affinity mask
+    does not exist, and in a daemonic process such as a pool worker, which
+    multiprocessing lets have no children."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = min(len(os.sched_getaffinity(0)), BATCH_CODEWORDS)
+    if cpus > 1:
+        import multiprocessing
+        if multiprocessing.current_process().daemon:
+            return 1
+    return cpus
+
+
 def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
                        point_index: int) -> BerPoint:
     """Monte Carlo BER at one SNR point under the window decoder.
 
     Info bits and noise for trial j come from a stream seeded by
-    ``(seed, point_index, j)``, so the result does not depend on how trials
-    are grouped into batches.
+    ``(seed, point_index, j)``, and a trial's decisions do not depend on
+    its batch-mates, so the result does not depend on how trials are
+    grouped.  Each batch of ``BATCH_CODEWORDS`` trials is split into W
+    contiguous chunks, W being the number of CPUs in the process's affinity
+    mask: this process decodes chunk 0 while W - 1 children, forked for
+    this batch only, decode the others and send back their bit-error
+    counts.  Every child is joined before the next batch starts, and a
+    child exits after its chunk even if its parent has died.  With W = 1 the
+    whole batch is decoded here and nothing is forked.  The stopping rule
+    is checked after each whole batch.
     """
     small = make_small_code(spec.kind, spec.n)
     basic = cartesian(small, spec.cart)
@@ -207,21 +305,18 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
     sigma = ebn0_to_sigma(ebn0_db, rate)
     config = DecoderConfig(delay=spec.delay_for(spec.memory),
                            max_iters=spec.max_iters)
+    workers = _worker_count()
     bits_done = 0
     errors = 0
     trial = 0
     while bits_done < spec.max_bits and errors < spec.max_errors:
         nb = BATCH_CODEWORDS
-        info = np.empty((nb, code.info_bits), dtype=np.uint8)
-        y = np.empty((nb, code.coupling_len + code.memory, code.N))
-        for j in range(nb):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((spec.seed, point_index, trial + j))))
-            info[j] = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
-            y[j] = transmit(encode_bmst(code, info[j]), sigma, rng)
-        dec = decode_sequence(code, llr_demap(y, sigma), config)
-        errors += int((dec != info).sum())
-        bits_done += info.size
+        cuts = [trial + nb * w // workers for w in range(workers + 1)]
+        chunks = [partial(_chunk_bit_errors, code, sigma, config, spec.seed,
+                          point_index, range(lo, hi))
+                  for lo, hi in zip(cuts, cuts[1:])]
+        errors += chunks[0]() if workers == 1 else _forked_sum(chunks)
+        bits_done += nb * code.info_bits
         trial += nb
     ber = errors / bits_done if bits_done else 0.0
     se = math.sqrt(ber * (1.0 - ber) / bits_done) if bits_done else 0.0

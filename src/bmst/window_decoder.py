@@ -181,7 +181,8 @@ def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows,
     for msg in inc[1:]:
         total += msg
     to_c = np.clip(total, -LLR_CLIP, LLR_CLIP)
-    from_c, _ = siso_decode_basic(code.basic, to_c, assume_clipped=True)
+    from_c, _ = siso_decode_basic(code.basic, to_c, assume_clipped=True,
+                                  info_app=False)
     for i in range(m + 1):
         out = act.epm[wi, i]
         np.subtract(total, inc[i], out=out)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bmst
+import bmst.harness as harness
 from bmst.cli import main, spec_from_args
 from bmst.harness import (SpecError, parse_metadata, replay,
                           spec_from_metadata, strip_timestamp)
@@ -235,6 +236,44 @@ def test_data_rows_match_golden(capsys, name):
     assert rows.encode() == (GOLDEN / name).read_bytes()
 
 
+def count_chunks(monkeypatch, tmp_path):
+    """Log each chunk a ber batch is split into, with the pid decoding it."""
+    log = tmp_path / "chunks.txt"
+    chunk = harness._chunk_bit_errors
+
+    def logged(*args):
+        point_index, trials = args[-2:]
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {point_index} {trials.start} "
+                     f"{len(trials)}\n")
+        return chunk(*args)
+
+    monkeypatch.setattr(harness, "_chunk_bit_errors", logged)
+    return log
+
+
+@pytest.mark.parametrize("name", ["ber_rc2.csv", "ber_spc4.csv"])
+def test_cpu_count_cannot_change_an_output(monkeypatch, tmp_path, name):
+    # A batch splits into one chunk per CPU, each decoded in its own
+    # process; ber_rc2's trials leave the active set at different sweeps.
+    log = count_chunks(monkeypatch, tmp_path)
+    spec = spec_from_args(GOLDEN_RUNS[name].split())
+    texts = []
+    for cpus, sizes in ((1, [32]), (2, [16, 16]), (3, [10, 11, 11])):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        log.write_text("")
+        texts.append(strip_timestamp(harness.run_spec(spec)[0]))
+        # the first batch of the first SNR point
+        first = sorted((int(start), int(size), pid) for pid, point, start, size
+                       in map(str.split, log.read_text().splitlines())
+                       if point == "0" and int(start) < 32)
+        assert [size for _, size, _ in first] == sizes
+        assert len({pid for _, _, pid in first}) == cpus
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert data_rows(texts[0]).encode() == (GOLDEN / name).read_bytes()
+
+
 # Thresholds of RC[2,1]^100 at L=20; the genie column goes through qfunc_inv.
 THRESHOLD_GOLDEN = GOLDEN / "threshold_vs_target_rc2.csv"
 THRESHOLD_RUN = ["threshold-vs-target", "--code", "rc:2", "--memory", "1,2",
@@ -256,10 +295,14 @@ def test_threshold_golden_replays_bit_exactly():
 
 
 # The commands the benchmark times; importing scipy would be most of their
-# start-up time.  The check goes by what the runs imported, not by timing.
+# start-up time, and multiprocessing, which only a ber batch split across
+# CPUs needs, a tenth of it.  The check goes by what was imported, not by
+# timing.
 NO_SCIPY_RUNS = """
 import sys
 import bmst.cli
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("multiprocessing", "concurrent")))
 from bmst.harness import run_spec
 for argv in (["ber", "--code", "rc:2", "--cart", "4", "--memory", "1",
               "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"],
@@ -275,4 +318,4 @@ def test_ber_and_threshold_vs_l_runs_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNS],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["[]", "[]", ""]

@@ -1,9 +1,14 @@
 import math
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import bmst.harness as harness
 from bmst.basic_codes import ber_basic, make_small_code
 from bmst.cli import main, spec_from_args
 from bmst.exit_engine import genie_bound_ebn0_at_target
@@ -99,6 +104,59 @@ def test_ber_point_matches_per_trial_streams():
         dec = decode_sequence(code, llr_demap(y, sigma), cfg)
         errors += int((dec != info).sum())
     assert errors == point.bit_errors
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` in place of a hang (forked children do not
+    inherit the alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def decoder_breaks():
+    raise ValueError("decoder broke")
+
+
+@pytest.mark.parametrize("in_child, fail, error, match", [
+    (True, decoder_breaks, RuntimeError,
+     r"(?s)BER chunk 1 failed in its child.*decoder broke"),
+    (True, lambda: os._exit(1), RuntimeError,
+     "BER chunk 1: its child exited with code 1 without a result"),
+    (False, decoder_breaks, ValueError, "decoder broke"),
+], ids=["child-raises", "child-dies", "parent-raises"])
+def test_failed_chunk_fails_loudly_and_leaves_no_child(monkeypatch, in_child,
+                                                       fail, error, match):
+    # a module function patched here is inherited through fork
+    parent, decode = os.getpid(), harness.decode_sequence
+
+    def failing(*args):
+        if (os.getpid() != parent) == in_child:
+            fail()
+        return decode(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "decode_sequence", failing)
+    with time_limit(60), pytest.raises(error, match=match):
+        simulate_ber_point(tiny_ber_spec(), 4.0, 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_ber_point_in_a_pool_worker_decodes_in_place(monkeypatch):
+    # a pool worker is daemonic, and multiprocessing lets it have no children
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = tiny_ber_spec(max_bits=1)
+    with time_limit(60), multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply(simulate_ber_point, (spec, 4.0, 0))
+    assert got == simulate_ber_point(spec, 4.0, 0)
 
 
 def test_bound_table_properties():

@@ -65,3 +65,8 @@ def test_siso_decode_basic_bit_exact(case, assume_clipped):
                                  assume_clipped=assume_clipped)
     assert pinned(ext) == case["ext"]
     assert pinned(app) == case["app"]
+    # the equality node asks for the extrinsics alone
+    ext, app = siso_decode_basic(basic, value(case["cw"]), src,
+                                 assume_clipped=assume_clipped, info_app=False)
+    assert pinned(ext) == case["ext"]
+    assert app is None
