@@ -8,12 +8,14 @@ those keys, as ``--flag-name`` flags and as ``flag_name=value`` lines of a
 
 Exit codes: 0 on success, 2 for an invalid spec (any bad command line: a
 flag or config key the subcommand does not read, a flag without its value,
-a missing subcommand), 3 when a threshold search interval fails to bracket.
+a missing subcommand, an ``--out`` path that cannot be written), 3 when a
+threshold search interval fails to bracket.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import ExperimentSpec, SpecError, run_spec
@@ -133,10 +135,22 @@ def spec_from_args(argv: list[str]) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
+def _check_out(path: str) -> None:
+    """Fail before the run, not after it, when ``--out`` cannot be written.
+    ``replay`` does not call this: a recorded ``out`` may point anywhere."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(folder)
+                                   and os.access(folder, os.W_OK | os.X_OK)):
+        raise SpecError(f"--out {path!r} is not a file in a writable "
+                        f"directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         spec = spec_from_args(argv)
+        if spec.out:
+            _check_out(spec.out)
         text, bracket_failures = run_spec(spec)
     except SpecError as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)

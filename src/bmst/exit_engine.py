@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .basic_codes import (RC, BasicCode, BerEstimate, SmallCode, ber_basic,
                           exit_transfer_c)
 from .channel import channel_mi, ebn0_to_sigma
 from .encoder import coupled_rate
+from .forked import Children, worker_count
 from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
 
 _INF = math.inf
@@ -318,6 +320,30 @@ class ThresholdResult:
     evaluations: list[tuple[float, bool]] = field(default_factory=list)
 
 
+def _bisection_point(query: ThresholdQuery,
+                     outcomes: list[bool]) -> float | None:
+    """The Eb/N0 the bisection evaluates after its evaluations so far
+    returned ``outcomes``: ``lo_db``, then ``hi_db``, then the middle of the
+    interval those outcomes leave, until that is no wider than the
+    resolution; None once the search is done."""
+    if len(outcomes) < 2:
+        return (query.lo_db, query.hi_db)[len(outcomes)]
+    lo, hi = query.lo_db, query.hi_db
+    for ok in outcomes[2:]:
+        mid = 0.5 * (lo + hi)
+        if ok:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi) if hi - lo > query.resolution_db else None
+
+
+def _expected(index: int) -> bool:
+    """The outcome speculation assumes for a search's ``index``-th
+    evaluation: ``lo_db`` fails and every later point passes."""
+    return index > 0
+
+
 def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     """Bisect Eb/N0 to the query resolution; the returned value is the
     smallest tested point that succeeds.
@@ -325,36 +351,69 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     Raises :class:`BracketError` unless the run fails at ``lo_db`` and
     succeeds at ``hi_db``.  Success is asserted to be an up-set over the
     sampled points (all failures below all successes).
+
+    The search uses W processes, W being the number of CPUs in the
+    process's affinity mask.  This process runs the point the bisection
+    needs next while W - 1 children, each forked for one point alone, run
+    the points that follow if that point and each after it turn out as
+    expected: ``lo_db`` fails and every later point passes, so the children
+    run ``hi_db`` or the chain of midpoints toward ``lo``.  Their results
+    are read in order while the path stays as expected; at the first point
+    that does not, the children still running are terminated and joined.
+    Every run is deterministic, and ``evaluations`` holds only the points
+    the bisection needs, in its order, so neither it nor the threshold
+    depends on W.  With W = 1 the same loop forks nothing.  A child that
+    fails or dies on a needed point raises a ``RuntimeError`` naming it.
     """
     evals: list[tuple[float, bool]] = []
+    outcomes: list[bool] = []
+    workers = worker_count()
 
     def succeeds(db: float) -> bool:
-        res = exit_window_run(query.small, query.memory, query.delay,
-                              query.coupling_len, db, query.target_ber,
-                              query.i_max)
-        evals.append((db, res.success))
-        return res.success
+        return exit_window_run(query.small, query.memory, query.delay,
+                               query.coupling_len, db, query.target_ber,
+                               query.i_max).success
 
-    if succeeds(query.lo_db):
-        raise BracketError(
-            f"analysis already succeeds at lo = {query.lo_db} dB; widen downward")
-    if not succeeds(query.hi_db):
-        raise BracketError(
-            f"analysis still fails at hi = {query.hi_db} dB; widen upward")
-    lo, hi = query.lo_db, query.hi_db
-    while hi - lo > query.resolution_db:
-        mid = 0.5 * (lo + hi)
-        if succeeds(mid):
-            hi = mid
-        else:
-            lo = mid
+    def record(db: float, ok: bool) -> None:
+        evals.append((db, ok))
+        outcomes.append(ok)
+        if len(outcomes) == 1 and ok:
+            raise BracketError(f"analysis already succeeds at lo = "
+                               f"{query.lo_db} dB; widen downward")
+        if len(outcomes) == 2 and not ok:
+            raise BracketError(f"analysis still fails at hi = "
+                               f"{query.hi_db} dB; widen upward")
+
+    def name(db: float) -> str:
+        return f"threshold run at Eb/N0 = {db!r} dB"
+
+    with Children() as children:
+        while (db := _bisection_point(query, outcomes)) is not None:
+            assumed = outcomes + [_expected(len(outcomes))]
+            ahead = []
+            while len(ahead) < workers - 1:
+                point = _bisection_point(query, assumed)
+                if point is None:
+                    break
+                children.start(name(point), partial(succeeds, point))
+                ahead.append(point)
+                assumed.append(_expected(len(assumed)))
+            record(db, succeeds(db))
+            # While every outcome so far is the assumed one, the next
+            # child's point is the one the bisection needs.
+            for point in ahead:
+                if outcomes[-1] != _expected(len(outcomes) - 1):
+                    break
+                record(point, children.result(name(point)))
+            children.cancel_all()
     worst_fail = max(db for db, ok in evals if not ok)
     best_pass = min(db for db, ok in evals if ok)
     if worst_fail >= best_pass:
         raise BracketError("success region is not an up-set over the sampled points")
     rate = float(coupled_rate(query.small.k, query.small.n,
                               query.memory, query.coupling_len))
-    return ThresholdResult(hi, ebn0_to_sigma(hi, rate), rate, query, evals)
+    return ThresholdResult(best_pass, ebn0_to_sigma(best_pass, rate), rate,
+                           query, evals)
 
 
 def genie_lower_bound(code: BasicCode | SmallCode, memory: int,

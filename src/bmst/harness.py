@@ -9,7 +9,6 @@ timestamp line is informational and excluded from the comparison).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
@@ -26,6 +25,7 @@ from .encoder import (PERM_ALGORITHM, build_bmst, coupled_rate, encode_bmst,
 from .exit_engine import (BracketError, ThresholdQuery,
                           genie_bound_ebn0_at_target, genie_lower_bound,
                           threshold_search)
+from .forked import Children, worker_count
 from .window_decoder import DecoderConfig, decode_sequence
 
 #: Codewords decoded per batch; recorded in metadata, fixed for determinism.
@@ -212,74 +212,18 @@ def _chunk_bit_errors(code, sigma: float, config: DecoderConfig, seed: int,
     return int((dec != info).sum())
 
 
-def _child_result(task, conn) -> None:
-    """Body of a forked child: send ``(True, task())``, or ``(False,
-    traceback)`` if the task raises.  The child exits after this, whether
-    or not its parent is still there to read the result."""
-    try:
-        result = (True, task())
-    except Exception:
-        import traceback
-        result = (False, traceback.format_exc())
-    conn.send(result)
-    conn.close()
-
-
 def _forked_sum(tasks: list) -> int:
     """Sum of ``task()`` over ``tasks``: the first runs here, every other
     one in a child forked for it alone.  The children are joined before
     this returns or raises, and a child that fails or dies without a
     result raises a ``RuntimeError`` naming its chunk."""
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
+    with Children() as children:
         for index, task in enumerate(tasks[1:], 1):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child_result, args=(task, send))
-            proc.start()
-            children.append((index, proc, recv))
-            # Only the child may hold the write end, so its exit ends the
-            # pipe and the parent's read never blocks on a dead child.
-            send.close()
+            children.start(f"BER chunk {index}", task)
         total = tasks[0]()
-        for index, proc, recv in children:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"BER chunk {index}: its child exited with code "
-                    f"{proc.exitcode} without a result") from None
-            if not ok:
-                raise RuntimeError(f"BER chunk {index} failed in its child:\n"
-                                   f"{value}")
-            total += value
-    except BaseException:
-        for _, proc, _ in children:
-            if proc.is_alive():
-                proc.terminate()
-        raise
-    finally:
-        for _, proc, recv in children:
-            proc.join()
-            recv.close()
+        for index in range(1, len(tasks)):
+            total += children.result(f"BER chunk {index}")
     return total
-
-
-def _worker_count() -> int:
-    """Processes a batch is split across: the CPUs this process may run on,
-    capped at one trial each.  It is 1 where ``fork`` or the affinity mask
-    does not exist, and in a daemonic process such as a pool worker, which
-    multiprocessing lets have no children."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    cpus = min(len(os.sched_getaffinity(0)), BATCH_CODEWORDS)
-    if cpus > 1:
-        import multiprocessing
-        if multiprocessing.current_process().daemon:
-            return 1
-    return cpus
 
 
 def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
@@ -305,7 +249,7 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
     sigma = ebn0_to_sigma(ebn0_db, rate)
     config = DecoderConfig(delay=spec.delay_for(spec.memory),
                            max_iters=spec.max_iters)
-    workers = _worker_count()
+    workers = worker_count(BATCH_CODEWORDS)
     bits_done = 0
     errors = 0
     trial = 0
@@ -315,7 +259,7 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
         chunks = [partial(_chunk_bit_errors, code, sigma, config, spec.seed,
                           point_index, range(lo, hi))
                   for lo, hi in zip(cuts, cuts[1:])]
-        errors += chunks[0]() if workers == 1 else _forked_sum(chunks)
+        errors += _forked_sum(chunks)
         bits_done += nb * code.info_bits
         trial += nb
     ber = errors / bits_done if bits_done else 0.0

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import bmst
+import bmst.cli as cli
+import bmst.exit_engine as exit_engine
 import bmst.harness as harness
 from bmst.cli import main, spec_from_args
 from bmst.harness import (SpecError, parse_metadata, replay,
@@ -72,6 +74,20 @@ def test_cli_bracket_failure_exit_3(tmp_path):
                "--length", "10", "--snr", "10:14:0.05", "--out", str(out)])
     assert rc == 3
     assert "no-bracket" in out.read_text()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_cli_unwritable_out_exit_2_before_the_run(tmp_path, capsys,
+                                                  monkeypatch, out):
+    # a threshold sweep would otherwise fail only after hours of work
+    def no_run(spec):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_spec", no_run)
+    rc = main(["encode", "--code", "rc:2", "--cart", "2", "--memory", "1",
+               "--length", "2", "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert "error: invalid spec:" in capsys.readouterr().err
 
 
 def test_cli_stdout_default(capsys):
@@ -294,10 +310,46 @@ def test_threshold_golden_replays_bit_exactly():
     assert strip_timestamp(again) == strip_timestamp(text)
 
 
+def count_window_runs(monkeypatch, tmp_path):
+    """Log the pid of each MI window run, in this process or a child."""
+    log = tmp_path / "runs.txt"
+    run = exit_engine.exit_window_run
+
+    def logged(*args):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run(*args)
+
+    monkeypatch.setattr(exit_engine, "exit_window_run", logged)
+    return log
+
+
+@pytest.mark.parametrize("argv", [
+    THRESHOLD_RUN,
+    ["threshold-vs-l", "--code", "spc:4", "--memory", "1,2", "--length",
+     "8,16", "--target-ber", "1e-2", "--snr=-2:10:0.05"],
+], ids=["threshold-vs-target", "threshold-vs-l"])
+def test_cpu_count_cannot_change_a_threshold_csv(monkeypatch, tmp_path, argv):
+    # with 2 CPUs a child runs the next point a search needs if the current
+    # one passes
+    log = count_window_runs(monkeypatch, tmp_path)
+    spec = spec_from_args(argv)
+    texts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        log.write_text("")
+        texts.append(strip_timestamp(harness.run_spec(spec)[0]))
+        assert (len(set(log.read_text().split())) > 1) == (cpus > 1)
+    assert texts[1] == texts[0]
+    if argv is THRESHOLD_RUN:
+        assert texts[0] == strip_timestamp(THRESHOLD_GOLDEN.read_text())
+
+
 # The commands the benchmark times; importing scipy would be most of their
-# start-up time, and multiprocessing, which only a ber batch split across
-# CPUs needs, a tenth of it.  The check goes by what was imported, not by
-# timing.
+# start-up time, and multiprocessing, which only work split across CPUs (a
+# ber batch or a threshold search) needs, a tenth of it.  The check goes by
+# what was imported, not by timing.
 NO_SCIPY_RUNS = """
 import sys
 import bmst.cli

@@ -1,17 +1,22 @@
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmst.exit_engine as exit_engine
 from bmst.basic_codes import ber_basic, exit_transfer_c, make_small_code
 from bmst.channel import channel_mi, ebn0_to_sigma
 from bmst.exit_engine import (BracketError, ThresholdQuery, ber_estimate,
                               convergence_check, exit_window_run,
                               genie_bound_ebn0_at_target, genie_lower_bound,
                               mi_ap, threshold_search)
+from bmst.forked import Children
 from bmst.jfun import jfun, jinv, qfunc, qfunc_inv
+from time_limit import time_limit
 
 RC2 = make_small_code("rc", 2)
 SPC4 = make_small_code("spc", 4)
@@ -211,6 +216,120 @@ class TestThresholdSearch:
             ThresholdQuery(RC2, 1, 3, 10, 0.9, 0.0, 5.0)
         with pytest.raises(ValueError):
             ThresholdQuery(RC2, 1, 3, 10, 1e-7, 0.0, 5.0, resolution_db=0.0)
+
+
+# Ten cheap searches (RC and SPC, m = 1-3, several targets and resolutions)
+# and the two bracket failures of test_bracket_errors, recorded from the
+# one-process search: each Eb/N0 as float.hex with its outcome, or the
+# BracketError message.
+GOLDEN_SEARCHES = json.loads(
+    (Path(__file__).parent / "golden" / "threshold_evaluations.json")
+    .read_text())
+
+
+def golden_query(entry):
+    kind, n = entry["code"].split(":")
+    return ThresholdQuery(make_small_code(kind, int(n)), entry["memory"],
+                          entry["delay"], entry["length"],
+                          entry["target_ber"], entry["lo_db"], entry["hi_db"],
+                          resolution_db=entry["resolution_db"])
+
+
+def search_outcome(query):
+    """A search's evaluations in the golden file's form, or its bracket
+    error."""
+    try:
+        res = threshold_search(query)
+    except BracketError as exc:
+        return {"bracket_error": str(exc)}
+    return {"evaluations": [[g.hex(), ok] for g, ok in res.evaluations]}
+
+
+def golden_outcome(entry):
+    return {key: entry[key] for key in ("evaluations", "bracket_error")
+            if key in entry}
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_cpu_count_cannot_change_a_search(monkeypatch, cpus):
+    # Children run the points that come next if each point passes; only the
+    # points the bisection needs are recorded, in its order.
+    use_cpus(monkeypatch, cpus)
+    for entry in GOLDEN_SEARCHES:
+        assert search_outcome(golden_query(entry)) == golden_outcome(entry)
+
+
+def fail_in_children(monkeypatch, fail, at):
+    """Make ``exit_window_run`` call ``fail`` in a forked child (the patch
+    is inherited through fork) at each Eb/N0 for which ``at`` is true."""
+    parent, run = os.getpid(), exit_engine.exit_window_run
+
+    def failing(small, memory, delay, length, ebn0_db, *args):
+        if os.getpid() != parent and at(ebn0_db):
+            fail()
+        return run(small, memory, delay, length, ebn0_db, *args)
+
+    monkeypatch.setattr(exit_engine, "exit_window_run", failing)
+
+
+def window_run_breaks():
+    raise ValueError("window run broke")
+
+
+@pytest.mark.parametrize("fail, match", [
+    (window_run_breaks, r"(?s)threshold run at Eb/N0 = 12\.0 dB failed in "
+                        r"its child.*window run broke"),
+    (lambda: os._exit(1), r"threshold run at Eb/N0 = 12\.0 dB: its child "
+                          r"exited with code 1 without a result"),
+], ids=["child-raises", "child-dies"])
+def test_failed_child_on_the_path_fails_loudly(monkeypatch, fail, match):
+    # with 2 CPUs hi = 12.0 dB runs in a child while lo runs here
+    entry = GOLDEN_SEARCHES[0]
+    assert entry["hi_db"] == 12.0
+    use_cpus(monkeypatch, 2)
+    fail_in_children(monkeypatch, fail, lambda db: True)
+    with time_limit(60), pytest.raises(RuntimeError, match=match):
+        threshold_search(golden_query(entry))
+    assert multiprocessing.active_children() == []
+
+
+def test_children_off_the_path_are_cancelled(monkeypatch):
+    # every child whose point the bisection does not need dies; the search
+    # neither reads nor waits for it
+    use_cpus(monkeypatch, 3)
+    started, start = [], Children.start
+
+    def logged_start(self, name, task):
+        started.append(float(name.split()[-2]))  # "... = <Eb/N0> dB"
+        start(self, name, task)
+
+    monkeypatch.setattr(Children, "start", logged_start)
+    path, off_path = set(), set()
+    fail_in_children(monkeypatch, lambda: os._exit(1),
+                     lambda db: db not in path)
+    for entry in GOLDEN_SEARCHES[:3]:
+        path.clear()
+        path.update(float.fromhex(g) for g, _ in entry["evaluations"])
+        started.clear()
+        with time_limit(60):
+            assert search_outcome(golden_query(entry)) == golden_outcome(entry)
+        assert multiprocessing.active_children() == []
+        off_path.update(set(started) - path)
+    assert off_path
+
+
+def test_search_in_a_pool_worker_runs_in_place(monkeypatch):
+    # a pool worker is daemonic, and multiprocessing lets it have no children
+    use_cpus(monkeypatch, 2)
+    entry = GOLDEN_SEARCHES[0]
+    with time_limit(60), multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply(search_outcome, (golden_query(entry),))
+    assert got == golden_outcome(entry)
 
 
 class TestGenieBound:

@@ -1,8 +1,6 @@
 import math
 import multiprocessing
 import os
-import signal
-from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +16,7 @@ from bmst.harness import (BATCH_CODEWORDS, ExperimentSpec, SpecError,
                           run_threshold_vs_l, run_threshold_vs_target,
                           simulate_ber_point, spec_from_metadata,
                           spec_to_metadata, strip_timestamp)
+from time_limit import time_limit
 
 
 def tiny_ber_spec(**over):
@@ -104,22 +103,6 @@ def test_ber_point_matches_per_trial_streams():
         dec = decode_sequence(code, llr_demap(y, sigma), cfg)
         errors += int((dec != info).sum())
     assert errors == point.bit_errors
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise ``TimeoutError`` in place of a hang (forked children do not
-    inherit the alarm)."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def decoder_breaks():
