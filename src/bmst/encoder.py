@@ -3,7 +3,9 @@
 Each transmitted block is the XOR of the current basic codeword and the m
 previous ones, each scrambled by its own fixed random permutation.  The
 explicit generator-matrix view exists for testing small instances; the
-streaming encoder is the production path.
+streaming encoder is the production path.  :func:`window_plan` states the
+sliding-window schedule on this coupling, which the window decoder and the
+MI analysis both run.
 """
 
 from __future__ import annotations
@@ -119,6 +121,45 @@ def encode_bmst(code: BmstCode, info: np.ndarray) -> np.ndarray:
     for i in range(m + 1):
         out[i:i + L] ^= v[:, code.perms[i]]
     return out
+
+
+class WindowPlan(NamedTuple):
+    """The schedule of one window, which the window decoder and the MI
+    analysis both run.
+
+    The window holds layers ``position .. layer_end``.  ``sweep`` lists
+    ``(s, edges)`` in sweep order: parity node s, then, if s <=
+    ``layer_end``, the equality and code node of layer s.  ``edges`` holds
+    the ``(j, x)`` pairs, in order of j, that tie parity node s through
+    permutation j to layer ``x = s - j`` with ``0 <= x < L``; layer x is
+    decided iff ``x < position``.
+    """
+
+    position: int
+    layer_end: int
+    sweep: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def window_plan(coupling_len: int, memory: int, delay: int,
+                position: int) -> WindowPlan:
+    """The window of target layer ``position`` at delay ``delay``.
+
+    It holds layers ``position .. min(position + delay, L - 1)`` and sweeps
+    their parity nodes, plus the m tail nodes ``L .. L + m - 1`` once it
+    holds the last layer.  Edges toward the known all-zero codewords past
+    either end of the chain carry no uncertainty and drop out.  A tail node
+    swept earlier would see a layer right of the window, which knows
+    nothing, and so would tell its neighbours nothing; it drops out too.
+    """
+    L, m = coupling_len, memory
+    if not 0 <= position < L:
+        raise ValueError(f"window position must lie in [0, {L}), got {position}")
+    layer_end = min(position + delay, L - 1)
+    stop = L + m if layer_end == L - 1 else layer_end + 1
+    sweep = tuple(
+        (s, tuple((j, s - j) for j in range(m + 1) if 0 <= s - j < L))
+        for s in range(position, stop))
+    return WindowPlan(position, layer_end, sweep)
 
 
 def generator_matrix(code: BmstCode, max_entries: int = 50_000_000) -> sp.csr_array:

@@ -15,7 +15,9 @@ reads it as a variance in its own domain through the J-duality map
 (``jdual``), so a node sums variances and needs no J inversion.
 Decided layers keep (freeze) their final outgoing MI rather than being
 forced to 1, which is what makes error propagation into later windows
-visible at low SNR.
+visible at low SNR.  Each window runs the window decoder's schedule,
+:func:`bmst.encoder.window_plan`: the parity nodes of the m tail blocks
+join the sweep once the window holds the last layer.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .basic_codes import (RC, BasicCode, BerEstimate, SmallCode, ber_basic,
                           exit_transfer_c)
 from .channel import channel_mi, ebn0_to_sigma
-from .encoder import coupled_rate
+from .encoder import coupled_rate, window_plan
 from .forked import Children, worker_count
 from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
 
@@ -153,29 +155,13 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
             total += vi
         return v, total
 
-    def plus_plan(s: int, t: int, t_end: int):
-        """Parity node s in window [t, t_end]: how many of its edges carry
-        MI 0 from beyond the window, and per edge it reads (in edge order)
-        the equality-node row and index, plus the row it answers into, or
-        None left of the window.  Edges past either end of the chain carry a
-        known codeword (MI 1, weight 0) and drop out."""
-        n_inf = 0
-        edges = []
-        for j in range(q):
-            x = s - j
-            if x < 0 or x >= L:
-                continue
-            if x > t_end:
-                n_inf += 1
-                continue
-            edges.append((to_plus[x], j, to_eq[x] if x >= t else None))
-        return n_inf, edges
-
-    def plus_node(plan, moved: bool) -> bool:
-        """Update one parity node; returns whether any message of the sweep
-        so far moved by more than ``tol``."""
-        n_inf, edges = plan
+    def plus_node(edges, moved: bool) -> bool:
+        """Update one parity node from its bound edges ``(prow, j, erow)``:
+        it reads ``prow[j]`` and answers into ``erow[j]``, or nowhere for a
+        decided layer (``erow`` None).  Returns whether any message of the
+        sweep so far moved by more than ``tol``."""
         weights = [j_dual(prow[j]) ** 2 for prow, j, _ in edges]
+        n_inf = 0
         fin = 0.0
         for w in weights:
             if w == inf:
@@ -223,19 +209,19 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         return moved
 
     def run_window(t: int) -> ConvergenceCheck:
-        t_end = min(t + d, L - 1)
-        tail = range(max(t_end + 1, L), min(t_end + m, L + m - 1) + 1)
-        rows = [(tp, plus_plan(tp, t, t_end)) for tp in range(t, t_end + 1)]
-        tail_plans = [plus_plan(s, t, t_end) for s in tail]
+        plan = window_plan(L, m, d, t)
+        nodes = [(s <= plan.layer_end, s,
+                  [(to_plus[x], j, None if x < t else to_eq[x])
+                   for j, x in edges])
+                 for s, edges in plan.sweep]
         for _ in range(i_max):
             # A sweep is a fixed point when no message of the window's layers
             # moves by more than tol in MI; each is written once per sweep.
             moved = False
-            for tp, plan in rows:
-                moved = plus_node(plan, moved)
-                moved = eq_c_node(tp, moved)
-            for plan in tail_plans:
-                moved = plus_node(plan, moved)
+            for layer, s, edges in nodes:
+                moved = plus_node(edges, moved)
+                if layer:
+                    moved = eq_c_node(s, moved)
             if not moved:
                 break
         i_a = j_fun(sqrt(variances(to_eq[t])[1]))
@@ -325,7 +311,8 @@ def _bisection_point(query: ThresholdQuery,
     """The Eb/N0 the bisection evaluates after its evaluations so far
     returned ``outcomes``: ``lo_db``, then ``hi_db``, then the middle of the
     interval those outcomes leave, until that is no wider than the
-    resolution; None once the search is done."""
+    resolution or its middle rounds onto one of its ends (the ends are
+    adjacent floats); None once the search is done."""
     if len(outcomes) < 2:
         return (query.lo_db, query.hi_db)[len(outcomes)]
     lo, hi = query.lo_db, query.hi_db
@@ -335,7 +322,8 @@ def _bisection_point(query: ThresholdQuery,
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi) if hi - lo > query.resolution_db else None
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > query.resolution_db and lo < mid < hi else None
 
 
 def _expected(index: int) -> bool:
@@ -349,8 +337,9 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     smallest tested point that succeeds.
 
     Raises :class:`BracketError` unless the run fails at ``lo_db`` and
-    succeeds at ``hi_db``.  Success is asserted to be an up-set over the
-    sampled points (all failures below all successes).
+    succeeds at ``hi_db``.  Every failure then lies below every success:
+    each failure becomes the interval's lower end and each success its
+    upper end, and each point evaluated lies strictly between the two.
 
     The search uses W processes, W being the number of CPUs in the
     process's affinity mask.  This process runs the point the bisection
@@ -406,10 +395,7 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
                     break
                 record(point, children.result(name(point)))
             children.cancel_all()
-    worst_fail = max(db for db, ok in evals if not ok)
     best_pass = min(db for db, ok in evals if ok)
-    if worst_fail >= best_pass:
-        raise BracketError("success region is not an up-set over the sampled points")
     rate = float(coupled_rate(query.small.k, query.small.n,
                               query.memory, query.coupling_len))
     return ThresholdResult(best_pass, ebn0_to_sigma(best_pass, rate), rate,

@@ -30,6 +30,8 @@ from .window_decoder import DecoderConfig, decode_sequence
 
 #: Codewords decoded per batch; recorded in metadata, fixed for determinism.
 BATCH_CODEWORDS = 32
+#: Most points an SNR sweep (``ber``, ``bound``) may hold.
+MAX_SNR_POINTS = 10_000
 
 
 class SpecError(ValueError):
@@ -93,6 +95,8 @@ class ExperimentSpec:
             raise SpecError("need snr_lo <= snr_hi and snr_step > 0")
         if self.command.startswith("threshold") and self.snr_hi <= self.snr_lo:
             raise SpecError("threshold searches need snr_lo < snr_hi")
+        if self.command in ("ber", "bound"):
+            self.snr_points()  # raises for a sweep that is too long
         if not self.targets or any(not 0.0 < t < 0.5 for t in self.targets):
             raise SpecError(f"targets must lie in (0, 0.5), got {self.targets}")
         if self.max_bits < 1 or self.max_errors < 1:
@@ -110,9 +114,15 @@ class ExperimentSpec:
         return self.delays[0] if self.delays else 3 * memory
 
     def snr_points(self) -> list[float]:
+        """The sweep's Eb/N0 points; a sweep of more than
+        ``MAX_SNR_POINTS`` (or one whose step no longer moves the point) is
+        a :class:`SpecError`."""
         pts = []
         g = self.snr_lo
         while g <= self.snr_hi + 1e-9:
+            if len(pts) == MAX_SNR_POINTS:
+                raise SpecError(f"an SNR sweep holds at most {MAX_SNR_POINTS} "
+                                f"points; step {self.snr_step} is too fine")
             pts.append(round(g, 9))
             g += self.snr_step
         return pts

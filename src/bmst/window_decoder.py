@@ -7,11 +7,13 @@ transmitted block c_t with its channel half-edge.  A window with delay d
 spans layers t..t+d; the first layer is the target and is the only one
 decided before the window shifts.
 
-Messages referencing layers left of the window are saturated at the clip
-magnitude according to decided (or known-zero termination) bits; messages
-from layers right of the window are zero.  Parity nodes of the m tail
-blocks past the last layer carry real channel observations and are
-processed whenever the window reaches them.
+Each window runs the schedule of :func:`bmst.encoder.window_plan`, which
+the MI analysis runs too.  Messages from decided layers left of the window
+are saturated at the clip magnitude according to the decided bits; edges
+toward the known all-zero codewords past either end of the chain drop
+out.  Parity nodes of the m tail blocks past the last layer carry real
+channel observations and are processed once the window holds the last
+layer.
 
 All arrays accept leading batch axes, so many independent noise
 realizations decode through the same vectorized operations.  Within a
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic_codes import encode_basic, siso_decode_basic
-from .encoder import BmstCode
+from .encoder import BmstCode, WindowPlan, window_plan
 from .llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
 
 
@@ -48,39 +50,6 @@ class DecoderConfig:
 
 
 @dataclass
-class WindowState:
-    """Context of one window position.
-
-    ``channel_llr`` holds the full received sequence; the window reads
-    blocks ``position .. layer_end + m``.  ``feedback_llr`` carries the
-    saturated codeword LLRs of already-decided layers (rows at or past
-    ``position`` are ignored).
-    """
-
-    position: int
-    layer_end: int
-    channel_llr: np.ndarray
-    feedback_llr: np.ndarray
-
-    @classmethod
-    def create(cls, code: BmstCode, config: DecoderConfig,
-               channel_llr: np.ndarray, position: int,
-               feedback_llr: np.ndarray | None = None) -> "WindowState":
-        L, m, N = code.coupling_len, code.memory, code.N
-        llr = np.asarray(channel_llr, dtype=float)
-        if llr.shape[-1] != N or llr.shape[-2] != L + m:
-            raise ValueError(
-                f"expected channel LLRs shaped (..., {L + m}, {N}), got {llr.shape}")
-        if not 0 <= position < L:
-            raise ValueError(f"window position must lie in [0, {L}), got {position}")
-        lead = llr.shape[:-2]
-        if feedback_llr is None:
-            feedback_llr = np.zeros(lead + (L, N))
-        layer_end = min(position + config.delay, L - 1)
-        return cls(position, layer_end, llr, feedback_llr)
-
-
-@dataclass
 class _ActiveRows:
     """Window-local arrays of the trials that are still iterating.
 
@@ -96,25 +65,17 @@ class _ActiveRows:
     (pre-permutation) domain.  Each direction has two buffers: a sweep
     writes every message of ``epm``/``ppm`` once and reads the ones it has
     not yet rewritten, the previous sweep's, from ``old_epm``/``old_ppm``.
-    Left out, the old buffers are the new ones, which is the same schedule
-    run in place.  ``rows`` maps each trial to its index in the flattened
-    batch.
+    ``rows`` maps each trial to its index in the flattened batch.
     """
 
     rows: np.ndarray
     channel: np.ndarray
+    channel_th: np.ndarray
     feedback: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     epm: np.ndarray
     ppm: np.ndarray
-    channel_th: np.ndarray | None = None
-    old_epm: np.ndarray | None = None
-    old_ppm: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.old_epm is None:
-            self.old_epm = self.epm
-        if self.old_ppm is None:
-            self.old_ppm = self.ppm
+    old_epm: np.ndarray
+    old_ppm: np.ndarray
 
     def subset(self, keep: np.ndarray) -> None:
         """Keep only the trials where ``keep`` is set.  Each array is
@@ -136,46 +97,37 @@ class _ActiveRows:
         self.ppm, self.old_ppm = self.old_ppm, self.ppm
 
 
-def _plus_node(code: BmstCode, state: WindowState, act: _ActiveRows,
-               s: int) -> None:
-    """Update parity node of block s; write extrinsics to in-window layers."""
-    m = code.memory
-    t, t_end = state.position, state.layer_end
+def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
+               edges) -> None:
+    """Update parity node of block s in the window of target layer t; write
+    its extrinsics toward the window's layers."""
     terms = [act.channel[s - t]]
     th = [act.channel_th[s - t]]
     receivers = []
-    for j in range(m + 1):
-        x = s - j
-        h = None
-        if x < 0 or x >= code.coupling_len:
-            term = LLR_CLIP  # termination: known all-zero codeword
-        elif x < t:
+    for j, x in edges:
+        if x < t:
             term, h = act.feedback[x, j]
-        elif x > t_end:
-            term = 0.0
         else:
             # layer s speaks after this node in a sweep, layers left of it
             # before
             msgs = act.old_epm if j == 0 else act.epm
-            term = msgs[x - t, j][..., code.perms[j]]
-            receivers.append(j)
+            term, h = msgs[x - t, j][..., code.perms[j]], None
+            receivers.append((len(terms), j, x - t))
         terms.append(term)
         th.append(h)
-    outs = leave_one_out_boxplus(terms, needed=[j + 1 for j in receivers],
+    outs = leave_one_out_boxplus(terms, needed=[i for i, _, _ in receivers],
                                  th=th)
-    for j in receivers:
+    for i, j, w in receivers:
         # the indices are valid; mode "clip" only spares take a buffer copy
-        np.take(outs[j + 1], code.perms_inv[j], axis=-1,
-                out=act.ppm[s - j - t, j], mode="clip")
+        np.take(outs[i], code.perms_inv[j], axis=-1, out=act.ppm[w, j],
+                mode="clip")
 
 
-def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows,
-               tp: int) -> None:
-    """Equality and code-constraint updates of layer tp."""
+def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
+    """Equality and code-constraint updates of the window's layer w."""
     m = code.memory
-    wi = tp - state.position
-    # Parity node tp has just spoken; parity nodes tp+1.. speak later.
-    inc = [act.ppm[wi, 0]] + [act.old_ppm[wi, i] for i in range(1, m + 1)]
+    # Parity node of layer w has just spoken; the ones after it speak later.
+    inc = [act.ppm[w, 0]] + [act.old_ppm[w, i] for i in range(1, m + 1)]
     # numpy sums over a leading axis edge by edge from +0.0; so does this.
     total = 0.0 + inc[0]
     for msg in inc[1:]:
@@ -184,27 +136,31 @@ def _eq_c_node(code: BmstCode, state: WindowState, act: _ActiveRows,
     from_c, _ = siso_decode_basic(code.basic, to_c, assume_clipped=True,
                                   info_app=False)
     for i in range(m + 1):
-        out = act.epm[wi, i]
+        out = act.epm[w, i]
         np.subtract(total, inc[i], out=out)
         out += from_c
         np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
 
 
-def _iterate(code: BmstCode, state: WindowState, act: _ActiveRows) -> None:
-    """One forward sweep: each window layer's parity then equality/code
-    node, followed by the tail parity nodes the window reaches."""
-    L, m = code.coupling_len, code.memory
-    for tp in range(state.position, state.layer_end + 1):
-        _plus_node(code, state, act, tp)
-        _eq_c_node(code, state, act, tp)
-    for s in range(max(state.layer_end + 1, L),
-                   min(state.layer_end + m, L + m - 1) + 1):
-        _plus_node(code, state, act, s)
+def _iterate(code: BmstCode, plan: WindowPlan, act: _ActiveRows) -> None:
+    """One sweep of the plan: each parity node, followed by the equality and
+    code node of its layer if the window holds one."""
+    t = plan.position
+    for s, edges in plan.sweep:
+        _plus_node(code, act, t, s, edges)
+        if s <= plan.layer_end:
+            _eq_c_node(code, act, s - t)
 
 
-def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
-    """Run up to ``max_iters`` schedule sweeps and decide the target layer.
+def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
+                  channel_llr: np.ndarray, feedback_llr: np.ndarray):
+    """Run up to ``max_iters`` sweeps of ``plan`` and decide its target
+    layer.
 
+    ``channel_llr``, shaped ``(..., L+m, N)``, holds the full received
+    sequence; the window reads the blocks of the parity nodes it sweeps.
+    ``feedback_llr``, shaped ``(..., L, N)``, carries the saturated codeword
+    LLRs of the decided layers; the window reads those its plan ties to it.
     Returns the hard decisions on the target layer's info bits and their APP
     LLRs, shaped like the batch's lead axes plus ``(K,)``.  The channel
     blocks and the decided layers' feedback stay fixed for the window, so
@@ -217,30 +173,30 @@ def decode_window(code: BmstCode, state: WindowState, config: DecoderConfig):
     it stops after ``max_iters`` sweeps.  A trial's decisions and its work
     therefore do not depend on its batch-mates.
     """
-    L, m, N = code.coupling_len, code.memory, code.N
-    t = state.position
-    lead = state.channel_llr.shape[:-2]
+    m, N = code.memory, code.N
+    t = plan.position
+    lead = channel_llr.shape[:-2]
     trials = math.prod(lead)
-    shape = (state.layer_end - t + 1, m + 1, trials, N)
-    # Blocks t..stop-1 as (blocks, trials, N): a view, as only its tanh
+    shape = (plan.layer_end - t + 1, m + 1, trials, N)
+    # The swept blocks as (blocks, trials, N): a view, as only its tanh
     # enters the arithmetic.
-    stop = min(state.layer_end + m, L + m - 1) + 1
-    channel = state.channel_llr.reshape((trials, L + m, N))[:, t:stop]
-    channel = channel.swapaxes(0, 1)
-    decided = state.feedback_llr.reshape((trials, L, N))
+    channel = channel_llr.reshape((trials,) + channel_llr.shape[-2:])
+    channel = channel[:, t:plan.sweep[-1][0] + 1].swapaxes(0, 1)
+    decided = feedback_llr.reshape((trials,) + feedback_llr.shape[-2:])
     feedback = {}
-    for x in range(max(t - m, 0), t):
-        for j in range(t - x, m + 1):
-            llr = decided[:, x, code.perms[j]]
-            feedback[x, j] = (llr, tanh_half(llr))
-    act = _ActiveRows(np.arange(trials), channel, feedback, np.zeros(shape),
-                      np.zeros(shape), tanh_half(channel), np.zeros(shape),
-                      np.zeros(shape))
+    for _, edges in plan.sweep:
+        for j, x in edges:
+            if x < t:
+                llr = decided[:, x, code.perms[j]]
+                feedback[x, j] = (llr, tanh_half(llr))
+    act = _ActiveRows(np.arange(trials), channel, tanh_half(channel),
+                      feedback, np.zeros(shape), np.zeros(shape),
+                      np.zeros(shape), np.zeros(shape))
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
     for _ in range(config.max_iters):
         act.swap()
-        _iterate(code, state, act)
+        _iterate(code, plan, act)
         moving = ~((act.epm == act.old_epm).all(axis=(0, 1, 3))
                    & (act.ppm == act.old_ppm).all(axis=(0, 1, 3)))
         if not moving.all():
@@ -270,18 +226,18 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
     """
     L, m, N, K = code.coupling_len, code.memory, code.N, code.K
     llr = np.asarray(channel_llrs, dtype=float)
-    flat_input = llr.ndim == 1
-    if flat_input:
-        if llr.size != (L + m) * N:
-            raise ValueError(f"expected {(L + m) * N} LLRs, got {llr.size}")
+    if llr.ndim == 1 and llr.size == (L + m) * N:
         llr = llr.reshape(L + m, N)
+    if llr.ndim < 2 or llr.shape[-2:] != (L + m, N):
+        raise ValueError(f"expected channel LLRs shaped (..., {L + m}, {N}) "
+                         f"or ({(L + m) * N},), got {llr.shape}")
     lead = llr.shape[:-2]
     llr = llr.reshape((-1,) + llr.shape[-2:])
     feedback = np.zeros((llr.shape[0], L, N))
     decisions = np.zeros((llr.shape[0], L, K), dtype=np.uint8)
     for t in range(L):
-        state = WindowState.create(code, config, llr, t, feedback)
-        bits, _ = decode_window(code, state, config)
+        plan = window_plan(L, m, config.delay, t)
+        bits, _ = decode_window(code, plan, config, llr, feedback)
         decisions[:, t] = bits
         feedback[:, t] = LLR_CLIP * (
             1.0 - 2.0 * encode_basic(code.basic, bits))

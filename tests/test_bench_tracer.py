@@ -1,0 +1,43 @@
+"""The benchmark's tracer, ``bench/tracer.py``, wraps module attributes of
+bmst and checks that each decoded window makes 1 + sweeps x width SISO
+calls.  This test runs it on both engines, so that a change to those
+attributes or to ``decode_window``'s arguments cannot break
+``bench/run.py --trace 1`` unseen."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import bmst.exit_engine as exit_engine
+import bmst.window_decoder as wd
+from bmst.basic_codes import cartesian, make_small_code
+from bmst.encoder import build_bmst
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_every_window_of_both_engines():
+    small = make_small_code("rc", 2)
+    L, m = 6, 2
+    code = build_bmst(cartesian(small, 4), m, L, seed=3)
+    llr = np.random.default_rng(0).normal(2.0, 2.0, (2, L + m, code.N))
+    decode_window = wd.decode_window
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        wd.decode_sequence(code, llr, wd.DecoderConfig(delay=1, max_iters=5))
+        res = exit_engine.exit_window_run(small, m, 3, L, 6.0, 1e-3)
+    finally:
+        tracer.uninstall()
+    assert wd.decode_window is decode_window
+    assert len(tracer.window_sweeps) == L
+    assert all(1 <= sweeps <= 5 for sweeps in tracer.window_sweeps)
+    assert tracer.windows_computed == res.windows_computed > 0

@@ -6,7 +6,7 @@ import pytest
 
 from bmst.basic_codes import cartesian, make_small_code
 from bmst.encoder import (build_bmst, coupled_rate, encode_bmst,
-                          generator_matrix, rate_bmst)
+                          generator_matrix, rate_bmst, window_plan)
 
 
 def small_rc2(B=2):
@@ -147,6 +147,42 @@ class TestGeneratorMatrix:
         code = build_bmst(small_rc2(100), 4, 500, seed=1)
         with pytest.raises(ValueError):
             generator_matrix(code, max_entries=10_000)
+
+
+class TestWindowPlan:
+    def test_matches_brute_force(self):
+        # Parity node s ties to layer x through permutation s - x when
+        # 0 <= s - x <= m, as in the generator matrix.  The window sweeps,
+        # in order, each node from its target layer on whose layers all lie
+        # at or before the window's last layer.
+        for L, m, d in itertools.product(range(1, 7), range(4), range(5)):
+            for t in range(L):
+                plan = window_plan(L, m, d, t)
+                end = min(t + d, L - 1)
+                assert (plan.position, plan.layer_end) == (t, end)
+                want = []
+                for s in range(t, L + m):
+                    layers = [x for x in range(L) if 0 <= s - x <= m]
+                    if max(layers) <= end:
+                        want.append((s, tuple(sorted((s - x, x)
+                                                     for x in layers))))
+                assert plan.sweep == tuple(want), (L, m, d, t)
+                tails = [s for s, _ in plan.sweep if s >= L]
+                assert tails == (list(range(L, L + m)) if end == L - 1
+                                 else []), (L, m, d, t)
+                # the decided edges: layers left of the window, seen by a
+                # swept parity node
+                swept = {s for s, _ in plan.sweep}
+                decided = {(x, j) for _, edges in plan.sweep
+                           for j, x in edges if x < t}
+                assert decided == {
+                    (x, j) for x in range(max(t - m, 0), t)
+                    for j in range(t - x, m + 1) if x + j in swept}
+
+    def test_rejects_position_outside_chain(self):
+        for t in (-1, 4):
+            with pytest.raises(ValueError):
+                window_plan(4, 1, 2, t)
 
 
 def test_production_scale_configuration():

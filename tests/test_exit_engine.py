@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import bmst.exit_engine as exit_engine
-from bmst.basic_codes import ber_basic, exit_transfer_c, make_small_code
+import bmst.window_decoder as wd
+from bmst.basic_codes import (ber_basic, cartesian, exit_transfer_c,
+                              make_small_code)
 from bmst.channel import channel_mi, ebn0_to_sigma
+from bmst.encoder import build_bmst
 from bmst.exit_engine import (BracketError, ThresholdQuery, ber_estimate,
                               convergence_check, exit_window_run,
                               genie_bound_ebn0_at_target, genie_lower_bound,
@@ -153,6 +156,28 @@ class TestExitWindowRun:
             exit_window_run(RC2, 1, 3, 10, 5.0, 0.7)
 
 
+@pytest.mark.parametrize("m,d", [(1, 0), (2, 1), (2, 4), (3, 2)])
+def test_analysis_runs_the_decoders_window_plans(monkeypatch, m, d):
+    L = 7
+    plans = {}
+    for name, module in (("decoder", wd), ("analysis", exit_engine)):
+        made = plans[name] = []
+
+        def recording(*args, plan=module.window_plan, made=made):
+            made.append(plan(*args))
+            return made[-1]
+
+        monkeypatch.setattr(module, "window_plan", recording)
+    code = build_bmst(cartesian(RC2, 3), m, L, seed=5)
+    wd.decode_sequence(code, np.ones((L + m, code.N)),
+                       wd.DecoderConfig(delay=d, max_iters=3))
+    res = exit_window_run(RC2, m, d, L, 10.0, 1e-3,
+                          steady_state_shortcut=False)
+    assert res.success
+    assert [p.position for p in plans["decoder"]] == list(range(L))
+    assert plans["analysis"] == plans["decoder"]
+
+
 # Eleven runs, RC and SPC, m = 0-3, shortcut on and off; six take the
 # steady-state shortcut and two fail (at layers 1 and 3).
 GOLDEN_RUNS = json.loads(
@@ -208,6 +233,17 @@ class TestThresholdSearch:
         assert genie_lower_bound(RC2, 1, 1000, star).ber <= 1e-7
         back = star - 2 * q.resolution_db
         assert genie_lower_bound(RC2, 1, 1000, back).ber > 1e-7
+
+    def test_resolution_finer_than_float_grid_ends(self):
+        # the search ends once the interval's middle rounds onto one of its
+        # ends, which are then adjacent floats
+        q = ThresholdQuery(RC2, 1, 1, 4, 1e-2, 0.0, 12.0, resolution_db=1e-300)
+        with time_limit(60):
+            res = threshold_search(q)
+        points = [g for g, _ in res.evaluations]
+        assert len(set(points)) == len(points) < 100
+        worst_fail = max(g for g, ok in res.evaluations if not ok)
+        assert math.nextafter(worst_fail, math.inf) == res.ebn0_star_db
 
     def test_query_validation(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,30 @@ def test_spec_validation():
         tiny_ber_spec(command="simulate-everything").validate()
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (1.0, 2.0, 1e-300),   # the step no longer moves the point
+    (1.0, 1.0, 1e-300),
+    (1.0, 2.0, 1e-9),     # 10**9 points
+    (0.0, 10_000.0, 1.0),  # one point too many
+])
+def test_sweep_of_too_many_points_is_an_invalid_spec(lo, hi, step):
+    # validate() alone: building such a sweep would not end, or would fill
+    # the memory
+    for command in ("ber", "bound"):
+        with pytest.raises(SpecError):
+            tiny_ber_spec(command=command, snr_lo=lo, snr_hi=hi,
+                          snr_step=step).validate()
+
+
+def test_sweep_limits():
+    spec = tiny_ber_spec(snr_lo=0.0, snr_hi=9_999.0, snr_step=1.0)
+    spec.validate()
+    assert len(spec.snr_points()) == harness.MAX_SNR_POINTS
+    # a threshold search's step is its resolution, not a sweep
+    tiny_ber_spec(command="threshold-vs-l", snr_lo=0.0, snr_hi=14.0,
+                  snr_step=1e-300).validate()
+
+
 def test_ber_sweep_deterministic_and_replayable():
     spec = tiny_ber_spec()
     a = run_ber_sweep(spec)

@@ -1,14 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bmst.basic_codes import ber_basic, cartesian, encode_basic, make_small_code
 from bmst.channel import ebn0_to_sigma, llr_demap, transmit
-from bmst.encoder import build_bmst, rate_bmst
+from bmst.encoder import build_bmst, rate_bmst, window_plan
 from bmst.llr import leave_one_out_boxplus
-from bmst.window_decoder import (DecoderConfig, WindowState, decode_sequence,
-                                 decode_window)
+from bmst.window_decoder import DecoderConfig, decode_sequence, decode_window
 
 
 def build(kind="rc", n=2, B=4, m=1, L=6, seed=9):
@@ -28,6 +29,19 @@ def encode_bmst_all(code, info):
     if info.ndim == 1:
         return encode_bmst(code, info)
     return np.stack([encode_bmst(code, row) for row in info])
+
+
+def windows_one_by_one(code, cfg, llr):
+    """Decode window after window, feeding each decision back as
+    ``decode_sequence`` does; yields each window's bits and APP LLRs."""
+    L, N = code.coupling_len, code.N
+    feedback = np.zeros(llr.shape[:-2] + (L, N))
+    for t in range(L):
+        plan = window_plan(L, code.memory, cfg.delay, t)
+        bits, app = decode_window(code, plan, cfg, llr, feedback)
+        yield bits, app
+        feedback[..., t, :] = 50.0 * (1.0 - 2.0 * encode_basic(code.basic,
+                                                                bits))
 
 
 def plus_node(incoming, channel_llr):
@@ -63,12 +77,10 @@ def eq_node(code, incoming, monkeypatch):
     """
     import bmst.window_decoder as wd
 
-    cfg = DecoderConfig(delay=0)
-    state = WindowState.create(
-        code, cfg, np.zeros((code.coupling_len + code.memory, code.N)), 0)
     shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
-    act = wd._ActiveRows(np.arange(1), None, None, np.zeros(shape),
-                         np.stack(incoming).reshape(shape))
+    ppm = np.stack(incoming).reshape(shape)
+    epm = np.zeros(shape)
+    act = wd._ActiveRows(np.arange(1), None, None, None, epm, ppm, epm, ppm)
     seen = []
     siso = wd.siso_decode_basic
 
@@ -78,7 +90,7 @@ def eq_node(code, incoming, monkeypatch):
         return out
 
     monkeypatch.setattr(wd, "siso_decode_basic", recording_siso)
-    wd._eq_c_node(code, state, act, 0)
+    wd._eq_c_node(code, act, 0)
     ((to_c, from_c),) = seen
     return act.epm[0, :, 0], to_c[0], from_c[0]
 
@@ -141,8 +153,7 @@ class TestNoiseless:
         mags = []
         for iters in (1, 2, 4):
             cfg = DecoderConfig(delay=3, max_iters=iters)
-            state = WindowState.create(code, cfg, llr, 0)
-            _, app = decode_window(code, state, cfg)
+            _, app = next(windows_one_by_one(code, cfg, llr))
             mags.append(float(np.abs(app).mean()))
         assert mags[0] <= mags[1] <= mags[2]
 
@@ -175,16 +186,32 @@ def test_full_sequence_equals_window_composition():
     llr = received_llr(code, info, 4.0, seed=21)
     cfg = DecoderConfig(delay=3, max_iters=15)
     want = decode_sequence(code, llr, cfg)
-
-    L, K, N = code.coupling_len, code.K, code.N
-    feedback = np.zeros((L, N))
-    got = np.zeros((L, K), dtype=np.uint8)
-    for t in range(L):
-        state = WindowState.create(code, cfg, llr, t, feedback)
-        bits, _ = decode_window(code, state, cfg)
-        got[t] = bits
-        feedback[t] = 50.0 * (1.0 - 2.0 * encode_basic(code.basic, bits))
+    got = np.stack([bits for bits, _ in windows_one_by_one(code, cfg, llr)])
     np.testing.assert_array_equal(want, got.ravel())
+
+
+# Every window's APP LLRs, as float.hex, of ten 4-trial batches at 2 dB:
+# SPC and RC, m = 2 and 3, every d < m.  Each holds windows whose last
+# layer lies in [L - m, L - 2]: a tail parity node would see a layer right
+# of such a window, so the window plan leaves it out.
+WINDOW_APPS = json.loads(
+    (Path(__file__).parent / "golden" / "window_apps.json").read_text())
+
+
+@pytest.mark.parametrize("case", WINDOW_APPS, ids=lambda c: (
+    f"{c['code']}-m{c['memory']}-d{c['delay']}"))
+def test_window_apps_replay_bit_exactly(case):
+    kind, n = case["code"].split(":")
+    code = build(kind, int(n), B=case["cart"], m=case["memory"],
+                 L=case["length"], seed=case["seed"])
+    rng = np.random.default_rng(case["info_seed"])
+    info = rng.integers(0, 2, (case["trials"], code.info_bits),
+                        dtype=np.uint8)
+    llr = received_llr(code, info, case["ebn0_db"], seed=case["noise_seed"])
+    cfg = DecoderConfig(delay=case["delay"], max_iters=case["max_iters"])
+    got = [[float(v).hex() for v in app.ravel()]
+           for _, app in windows_one_by_one(code, cfg, llr)]
+    assert got == case["apps"]
 
 
 def test_batched_trials_match_individual():
@@ -254,13 +281,13 @@ def test_all_zero_matches_random_codewords():
     assert abs(res["zero"] - res["rand"]) <= tol
 
 
-def test_window_state_validation():
+def test_window_input_validation():
     code = build(m=1, L=4)
     cfg = DecoderConfig(delay=2, max_iters=5)
     with pytest.raises(ValueError):
-        WindowState.create(code, cfg, np.zeros((3, code.N)), 0)
+        decode_sequence(code, np.zeros((3, code.N)), cfg)
     with pytest.raises(ValueError):
-        WindowState.create(code, cfg, np.zeros((5, code.N)), 4)
+        decode_sequence(code, np.zeros(3 * code.N), cfg)
     with pytest.raises(ValueError):
         DecoderConfig(delay=-1)
     with pytest.raises(ValueError):
@@ -322,8 +349,7 @@ def test_window_active_set_exits_each_trial_at_its_own_fixed_point(
     bits, app, sweeps = [], [], []
     for row in llr:
         siso_rows.clear()
-        state = WindowState.create(code, cfg, row, 0)
-        b, a = decode_window(code, state, cfg)
+        b, a = next(windows_one_by_one(code, cfg, row))
         bits.append(b)
         app.append(a)
         n, rest = divmod(len(siso_rows) - 1, width)
@@ -333,8 +359,7 @@ def test_window_active_set_exits_each_trial_at_its_own_fixed_point(
     assert len(set(sweeps)) > 2  # ... and at its own sweep
 
     siso_rows.clear()
-    state = WindowState.create(code, cfg, llr, 0)
-    got_bits, got_app = decode_window(code, state, cfg)
+    got_bits, got_app = next(windows_one_by_one(code, cfg, llr))
     np.testing.assert_array_equal(got_bits, np.stack(bits))
     np.testing.assert_array_equal(got_app, np.stack(app))
     # one SISO call per layer per sweep while any trial iterates, plus the
