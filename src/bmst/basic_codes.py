@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ebn0_to_sigma, llr_demap, transmit
+from .channel import ebn0_to_sigma
 from .jfun import jfun, jinv, qfunc
-from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus, tanh_half
+from .llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
 
 RC = "rc"
 SPC = "spc"
 
-#: Blocks per batch of the SPC Monte Carlo in :func:`ber_basic`.
-BER_BATCH_BLOCKS = 200_000
+#: Points of each Gauss rule of the extrinsic's law in :func:`ber_basic`.
+GAUSS_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,27 +106,23 @@ def encode_basic(code: BasicCode, info: np.ndarray) -> np.ndarray:
 
 def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
                       src_apriori: np.ndarray | None = None,
-                      assume_clipped: bool = False, info_app: bool = True):
+                      info_app: bool = True):
     """Exact symbol-MAP SISO decode, independently per block.
 
     ``cw_apriori`` carries N codeword-bit LLRs and ``src_apriori`` K source
-    LLRs (defaults to all-zero, the equiprobable source).  Returns the
-    codeword-edge extrinsic LLRs and the info-bit APP LLRs, or None in
-    place of the latter when ``info_app`` is false.  Stacked inputs are
-    decoded along the last axis.  ``assume_clipped`` skips the input
-    sanitization for callers that guarantee finite, clipped LLRs.
+    LLRs (defaults to all-zero, the equiprobable source), both finite and
+    within ``+/- LLR_CLIP``.  Returns the codeword-edge extrinsic LLRs and
+    the info-bit APP LLRs, or None in place of the latter when ``info_app``
+    is false.  Stacked inputs are decoded along the last axis.
     """
-    if assume_clipped:
-        cw = np.asarray(cw_apriori, dtype=float)
-    else:
-        cw = clip_llr(np.asarray(cw_apriori, dtype=float))
+    cw = np.asarray(cw_apriori, dtype=float)
     if cw.shape[-1] != code.N:
         raise ValueError(f"expected {code.N} codeword LLRs, got {cw.shape[-1]}")
     lead = cw.shape[:-1]
     # An absent source adds +0.0, which only turns -0.0 into +0.0.
     src = 0.0
     if src_apriori is not None:
-        src = clip_llr(np.asarray(src_apriori, dtype=float))
+        src = np.asarray(src_apriori, dtype=float)
         if src.shape[-1] != code.K:
             raise ValueError(f"expected {code.K} source LLRs, got {src.shape[-1]}")
     n, k = code.small.n, code.small.k
@@ -183,50 +179,71 @@ def exit_transfer_c(code: BasicCode | SmallCode, i_a: float) -> float:
 
 @dataclass(frozen=True)
 class BerEstimate:
-    """A BER value with its standard error (zero for closed forms)."""
+    """A basic-code BER, exact up to quadrature for SPC codes."""
 
     ber: float
-    std_error: float
-    bits: int = 0
 
 
-def ber_basic(code: BasicCode | SmallCode, ebn0_db: float, *,
-              trials: int = 1_000_000, seed: int = 0) -> BerEstimate:
+def _boxplus(a, b):
+    """Parity-check combine of two LLR arrays, exact and unsaturated."""
+    return (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            + np.log1p(np.exp(-np.abs(a + b)))
+            - np.log1p(np.exp(-np.abs(a - b))))
+
+
+def _gauss_rule(x: np.ndarray, w: np.ndarray, points: int):
+    """Nodes and weights of the ``points``-point Gauss rule (or one of the
+    rank, if lower) of the measure with weight ``w[j]`` at ``x[j]``: the
+    Stieltjes procedure gives the Jacobi matrix, its eigenvalues are the
+    nodes and the Christoffel numbers the weights (Golub and Welsch, Math.
+    Comp. 1969); a weight whose sum overflows is 0."""
+    total = w.sum()
+    points = min(points, len(np.unique(x[w > 0])))
+    alpha, beta = np.empty(points), np.zeros(points)  # beta[0] is unused
+    v_prev, v = np.zeros_like(x), np.sqrt(w / total)
+    for j in range(points):
+        alpha[j] = np.dot(x * v, v)
+        if j + 1 < points:
+            u = (x - alpha[j]) * v - beta[j] * v_prev
+            beta[j + 1] = math.sqrt(np.dot(u, u))
+            v_prev, v = v, u / beta[j + 1]
+    nodes = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[1:], -1))
+    p_prev, p, norm = np.zeros(points), np.ones(points), np.ones(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(points - 1):
+            p_prev, p = p, (((nodes - alpha[j]) * p - beta[j] * p_prev)
+                            / beta[j + 1])
+            norm += p * p
+    return nodes, np.where(np.isfinite(norm), total / norm, 0.0)
+
+
+def ber_basic(code: BasicCode | SmallCode, ebn0_db: float) -> BerEstimate:
     """BER of the basic code under MAP decoding on the BPSK-AWGN channel.
 
     ``ebn0_db`` is normalized by the basic code rate k/n.  Repetition codes
-    use the closed form Q(sqrt(2 Eb/N0)); SPC codes are estimated by Monte
-    Carlo with exact per-block MAP decoding, ``trials`` blocks in total.
-    Batch ``b`` of ``BER_BATCH_BLOCKS`` blocks draws from a stream seeded
-    by ``(seed, b)``.
+    use the closed form Q(sqrt(2 Eb/N0)).  An SPC[n, n-1] bit with channel
+    LLR l ~ N(mu, 2 mu), mu = 2/sigma^2, errs when l < -E, E the combine of
+    the other n-1 LLRs, so the BER is E[Q((mu + E) / sqrt(2 mu))].  E's law
+    starts from a Gauss-Hermite rule of l, and each of n-2 pairwise
+    combines is compressed to its ``GAUSS_POINTS``-point Gauss rule.  The
+    rule of l takes twice as many points: the combine bends the integrand
+    sharply in l, and with as many the value moved by 2e-5 relative when
+    ``GAUSS_POINTS`` doubled (n = 8, 8.5 dB), with twice as many by 3e-7.
     """
     small = code.small if isinstance(code, BasicCode) else code
     if small.kind == RC:
         # n observations at Es/N0 = (Eb/N0)/n combine to 2*Eb/N0 after ML.
         p = qfunc(math.sqrt(2.0 * 10.0 ** (ebn0_db / 10.0)))
-        return BerEstimate(p, 0.0)
+        return BerEstimate(p)
 
-    one_block = cartesian(small, 1)
-    k = small.k
-    sigma = ebn0_to_sigma(ebn0_db, small.rate)
-    err_sum = 0.0
-    err_sq_sum = 0.0
-    blocks_done = 0
-    batch_index = 0
-    while blocks_done < trials:
-        nb = min(BER_BATCH_BLOCKS, trials - blocks_done)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, batch_index))))
-        info = rng.integers(0, 2, size=(nb, k), dtype=np.uint8)
-        y = transmit(encode_basic(one_block, info), sigma, rng)
-        _, app = siso_decode_basic(one_block, llr_demap(y, sigma))
-        errs = ((app < 0).astype(np.uint8) != info).sum(axis=-1).astype(float)
-        err_sum += errs.sum()
-        err_sq_sum += (errs * errs).sum()
-        blocks_done += nb
-        batch_index += 1
-    total_bits = blocks_done * k
-    p_hat = err_sum / total_bits
-    var_block = err_sq_sum / blocks_done - (err_sum / blocks_done) ** 2
-    se = math.sqrt(max(var_block, 0.0) / blocks_done) / k
-    return BerEstimate(p_hat, se, total_bits)
+    mu = 2.0 / ebn0_to_sigma(ebn0_db, small.rate) ** 2
+    scale = math.sqrt(2.0 * mu)
+    x, w = np.polynomial.hermite_e.hermegauss(2 * GAUSS_POINTS)
+    llr, w_llr = mu + scale * x, w / math.sqrt(2.0 * math.pi)
+    ext, w_ext = llr, w_llr
+    for _ in range(small.n - 2):
+        ext, w_ext = _gauss_rule(_boxplus(ext[:, None], llr).ravel(),
+                                 np.outer(w_ext, w_llr).ravel(), GAUSS_POINTS)
+    return BerEstimate(math.fsum(
+        wi * qfunc((mu + e) / scale)
+        for wi, e in zip(w_ext.tolist(), ext.tolist())))

@@ -63,9 +63,9 @@ COMMANDS = {
                         "snr", "target_ber", "out"), {
         "max_iters": "1000", "snr": "0:14:0.01", "target_ber": "1e-7"}),
     "threshold-vs-target": (("code", "memory", "length", "delay", "max_iters",
-                             "seed", "snr", "target_ber", "out"),
+                             "snr", "target_ber", "out"),
                             {"max_iters": "1000", "snr": "-2:14:0.01"}),
-    "bound": (("code", "memory", "length", "seed", "snr", "out"), {}),
+    "bound": (("code", "memory", "length", "snr", "out"), {}),
     "encode": (("code", "cart", "memory", "length", "seed", "out"), {}),
 }
 

@@ -39,8 +39,7 @@ _INF = math.inf
 
 #: A window sweep that moves no MI message by more than this is a fixed point.
 FIXED_POINT_TOL = 1e-14
-#: Bisection step of the Eb/N0 at which the Monte Carlo genie bound meets a
-#: target BER.
+#: Bisection step of the Eb/N0 at which the SPC genie bound meets a target.
 GENIE_RESOLUTION_DB = 0.01
 
 
@@ -199,7 +198,8 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
             v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
         row = to_plus[tp]
         for i in range(q):
-            a = total - v[i] + v_c
+            # An infinite input makes v_c infinite: no inf - inf.
+            a = inf if v[i] == inf else total - v[i] + v_c
             sa = sqrt(0.0 if a < 0.0 else a)
             old = row[i]
             if not moved and sa != old:
@@ -403,27 +403,25 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
 
 
 def genie_lower_bound(code: BasicCode | SmallCode, memory: int,
-                      coupling_len: int, ebn0_db: float,
-                      seed: int = 0) -> BerEstimate:
+                      coupling_len: int, ebn0_db: float) -> BerEstimate:
     """BER lower bound of the coupled code from a genie-aided argument.
 
     A decoder told every other layer's bits sees the basic code repeated
     m+1 times (a 10*log10(m+1) dB energy gain) minus the termination rate
-    loss 10*log10(1 + m/L); the bound evaluates the basic-code BER there,
-    by Monte Carlo at ``seed`` for SPC codes.
+    loss 10*log10(1 + m/L); the bound evaluates the basic-code BER
+    (:func:`~bmst.basic_codes.ber_basic`) there.
     """
     if memory < 0 or coupling_len < 1:
         raise ValueError("need memory >= 0 and coupling_len >= 1")
     shifted = (ebn0_db + 10.0 * math.log10(memory + 1)
                - 10.0 * math.log10(1.0 + memory / coupling_len))
-    return ber_basic(code, shifted, seed=seed)
+    return ber_basic(code, shifted)
 
 
 def genie_bound_ebn0_at_target(code: BasicCode | SmallCode, memory: int,
-                               coupling_len: int, target_ber: float,
-                               seed: int = 0) -> float:
+                               coupling_len: int, target_ber: float) -> float:
     """Eb/N0 (dB) at which the genie-aided bound equals the target BER;
-    SPC codes bisect the Monte Carlo bound to ``GENIE_RESOLUTION_DB``."""
+    SPC codes bisect the bound to ``GENIE_RESOLUTION_DB``."""
     if not 0.0 < target_ber < 0.5:
         raise ValueError("target BER must lie in (0, 0.5)")
     small = code.small if isinstance(code, BasicCode) else code
@@ -436,7 +434,7 @@ def genie_bound_ebn0_at_target(code: BasicCode | SmallCode, memory: int,
     lo, hi = -10.0, 40.0
     while hi - lo > GENIE_RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
-        if genie_lower_bound(code, memory, coupling_len, mid, seed).ber > target_ber:
+        if genie_lower_bound(code, memory, coupling_len, mid).ber > target_ber:
             lo = mid
         else:
             hi = mid

@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise SpecError(f"delays must be non-negative, got {self.delays}")
         if self.max_iters < 1:
             raise SpecError(f"max_iters must be positive, got {self.max_iters}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
         snr = (self.snr_lo, self.snr_hi, self.snr_step)
         if not all(map(math.isfinite, snr)):
             raise SpecError(f"snr bounds and step must be finite, got {snr}")
@@ -274,8 +276,7 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
         trial += nb
     ber = errors / bits_done if bits_done else 0.0
     se = math.sqrt(ber * (1.0 - ber) / bits_done) if bits_done else 0.0
-    bound = genie_lower_bound(small, spec.memory, spec.length, ebn0_db,
-                              seed=spec.seed).ber
+    bound = genie_lower_bound(small, spec.memory, spec.length, ebn0_db).ber
     return BerPoint(ebn0_db, bits_done, errors, ber, bound, se)
 
 
@@ -339,8 +340,7 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
     for m in spec.memories:
         delays = spec.delays if spec.delays else (m, 3 * m)
         # The bound does not depend on the delay.
-        bounds = [genie_bound_ebn0_at_target(small, m, L, target,
-                                             seed=spec.seed)
+        bounds = [genie_bound_ebn0_at_target(small, m, L, target)
                   for target in spec.targets]
         for d in delays:
             for target, bound_db in zip(spec.targets, bounds):
@@ -360,10 +360,9 @@ def run_lower_bound_table(spec: ExperimentSpec) -> str:
     for m in spec.memories:
         for L in spec.lengths:
             for g in spec.snr_points():
-                b = genie_lower_bound(small, m, L, g, seed=spec.seed)
-                rows.append((spec.kind, m, L, g, b.ber, b.std_error))
-    cols = ["family", "memory", "length", "ebn0_db", "ber_bound",
-            "bound_std_error"]
+                b = genie_lower_bound(small, m, L, g)
+                rows.append((spec.kind, m, L, g, b.ber))
+    cols = ["family", "memory", "length", "ebn0_db", "ber_bound"]
     return _csv_text(spec, cols, rows)
 
 

@@ -14,13 +14,6 @@ import numpy as np
 LLR_CLIP = 50.0
 
 
-def clip_llr(x):
-    """Clip LLRs to ``[-LLR_CLIP, LLR_CLIP]``; non-finite inputs map to the
-    bounds."""
-    return np.clip(np.nan_to_num(x, nan=0.0, posinf=LLR_CLIP, neginf=-LLR_CLIP),
-                   -LLR_CLIP, LLR_CLIP)
-
-
 def tanh_half(x):
     """``tanh(x/2)``, the domain in which parity checks multiply; arrays
     come back as a new C-ordered array."""

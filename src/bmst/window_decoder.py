@@ -133,8 +133,7 @@ def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
     for msg in inc[1:]:
         total += msg
     to_c = np.clip(total, -LLR_CLIP, LLR_CLIP)
-    from_c, _ = siso_decode_basic(code.basic, to_c, assume_clipped=True,
-                                  info_app=False)
+    from_c, _ = siso_decode_basic(code.basic, to_c, info_app=False)
     for i in range(m + 1):
         out = act.epm[w, i]
         np.subtract(total, inc[i], out=out)
@@ -208,7 +207,7 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     target[:, act.rows] = act.ppm[0]
     total = target.sum(axis=0)
     _, info_app = siso_decode_basic(
-        code.basic, np.clip(total, -LLR_CLIP, LLR_CLIP), assume_clipped=True)
+        code.basic, np.clip(total, -LLR_CLIP, LLR_CLIP))
     info_app = info_app.reshape(lead + (code.K,))
     bits = (info_app < 0).astype(np.uint8)
     return bits, info_app

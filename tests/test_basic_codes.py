@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bmst.basic_codes import (BerEstimate, ber_basic, cartesian, encode_basic,
+import bmst.basic_codes as basic_codes
+from bmst.basic_codes import (ber_basic, cartesian, encode_basic,
                               exit_transfer_c, make_small_code,
                               siso_decode_basic)
 from bmst.jfun import qfunc
@@ -229,7 +230,7 @@ class TestSiso:
         src = rng.standard_normal((4, code.K))
         src[rng.random(src.shape) < 0.3] = -0.0
         for s in (None, src):
-            ext, app = siso_decode_basic(code, cw, s, assume_clipped=True)
+            ext, app = siso_decode_basic(code, cw, s)
             cwb = cw.reshape(4, 6, n)
             srcb = np.zeros((4, 6)) if s is None else s
             total = srcb + cwb.sum(axis=-1)
@@ -277,7 +278,6 @@ class TestBerBasic:
     @pytest.mark.parametrize("ebn0", [0.0, 3.0, 6.0])
     def test_rc_closed_form_vs_mc(self, ebn0):
         est = ber_basic(make_small_code("rc", 2), ebn0)
-        assert est.std_error == 0.0
         expect = qfunc(math.sqrt(2.0 * 10.0 ** (ebn0 / 10.0)))
         assert est.ber == pytest.approx(expect, rel=1e-12)
         mc, se = self.rc_ml_oracle(2, ebn0, 400_000, seed=int(ebn0 * 10) + 1)
@@ -287,34 +287,53 @@ class TestBerBasic:
         assert ber_basic(make_small_code("rc", 2), -60.0).ber > 0.49
 
     def test_spc_monte_carlo_vs_enumeration(self):
-        small = make_small_code("spc", 4)
-        est = ber_basic(small, 6.0, trials=1_000_000, seed=12)
-        # oracle: same channel, brute-force MAP marginals over all 8 codewords
-        code = cartesian(small, 1)
-        infos = np.array(list(itertools.product([0, 1], repeat=3)), dtype=np.uint8)
-        words = (infos.astype(np.int32) @ small.generator.astype(np.int32)) & 1
+        # oracle: brute-force MAP marginals over all codewords, by Monte Carlo
         rng = np.random.default_rng(99)
-        sigma = 1.0 / math.sqrt(2.0 * 0.75 * 10.0 ** 0.6)
-        blocks = 400_000
-        info = rng.integers(0, 2, (blocks, 3), dtype=np.uint8)
-        cw = encode_basic(code, info)
-        y = (1.0 - 2.0 * cw) + sigma * rng.standard_normal(cw.shape)
-        logw = -(2.0 * y / sigma ** 2) @ words.T  # (blocks, 8)
-        app = np.empty((blocks, 3))
-        for j in range(3):
-            w0 = np.logaddexp.reduce(logw[:, infos[:, j] == 0], axis=1)
-            w1 = np.logaddexp.reduce(logw[:, infos[:, j] == 1], axis=1)
-            app[:, j] = w0 - w1
-        errs = int(((app < 0).astype(np.uint8) != info).sum())
-        p_oracle = errs / (blocks * 3)
-        se_oracle = math.sqrt(p_oracle * (1 - p_oracle) / (blocks * 3))
-        tol = 3.0 * math.hypot(est.std_error, se_oracle)
-        assert abs(est.ber - p_oracle) < tol
+        blocks = 200_000
+        for n in (3, 4):
+            small = make_small_code("spc", n)
+            code = cartesian(small, 1)
+            k = n - 1
+            infos = np.array(list(itertools.product([0, 1], repeat=k)),
+                             dtype=np.uint8)
+            words = (infos.astype(np.int32) @ small.generator.astype(np.int32)) & 1
+            for ebn0 in (2.0, 4.0, 6.0):
+                sigma = 1.0 / math.sqrt(2.0 * small.rate * 10.0 ** (ebn0 / 10))
+                info = rng.integers(0, 2, (blocks, k), dtype=np.uint8)
+                cw = encode_basic(code, info)
+                y = (1.0 - 2.0 * cw) + sigma * rng.standard_normal(cw.shape)
+                logw = -(2.0 * y / sigma ** 2) @ words.T
+                app = np.empty((blocks, k))
+                for j in range(k):
+                    w0 = np.logaddexp.reduce(logw[:, infos[:, j] == 0], axis=1)
+                    w1 = np.logaddexp.reduce(logw[:, infos[:, j] == 1], axis=1)
+                    app[:, j] = w0 - w1
+                errs = int(((app < 0).astype(np.uint8) != info).sum())
+                p_oracle = errs / (blocks * k)
+                se = math.sqrt(p_oracle * (1 - p_oracle) / (blocks * k))
+                assert abs(ber_basic(small, ebn0).ber - p_oracle) < 3.0 * se
 
-    def test_deterministic_given_seed(self):
+    def test_spc2_is_the_repetition_closed_form(self):
+        spc2, rc2 = make_small_code("spc", 2), make_small_code("rc", 2)
+        for ebn0 in (-5.0, 0.0, 3.0, 6.0, 9.0, 12.0):
+            assert ber_basic(spc2, ebn0).ber == pytest.approx(
+                ber_basic(rc2, ebn0).ber, rel=1e-12)
+
+    def test_spc_converged_in_gauss_points(self, monkeypatch):
+        for n in (3, 4, 8):
+            small = make_small_code("spc", n)
+            for ebn0 in np.arange(-1.0, 13.0, 1.0):
+                monkeypatch.setattr(basic_codes, "GAUSS_POINTS", 64)
+                base = ber_basic(small, ebn0).ber
+                if not 1e-9 <= base <= 1e-1:
+                    continue
+                monkeypatch.setattr(basic_codes, "GAUSS_POINTS", 128)
+                assert ber_basic(small, ebn0).ber == pytest.approx(base, rel=1e-6)
+
+    def test_spc_finite_and_non_increasing(self):
+        # up to 55 dB, where tanh(l/2) of every channel LLR rounds to 1.0
         small = make_small_code("spc", 4)
-        a = ber_basic(small, 4.0, trials=50_000, seed=5)
-        b = ber_basic(small, 4.0, trials=50_000, seed=5)
-        assert a == b
-        c = ber_basic(small, 4.0, trials=50_000, seed=6)
-        assert c.ber != a.ber
+        vals = [ber_basic(small, ebn0).ber
+                for ebn0 in np.arange(-10.0, 55.0 + 1e-9, 0.25)]
+        assert all(math.isfinite(v) for v in vals)
+        assert all(b <= a for a, b in zip(vals, vals[1:]))

@@ -137,6 +137,8 @@ TINY = {
     ("threshold-vs-target", "--max-bits", "5"),
     ("bound", "--delay", "3"),
     ("encode", "--snr", "1:2:1"),
+    ("bound", "--seed", "3"),
+    ("threshold-vs-target", "--seed", "3"),
 ])
 def test_key_the_command_does_not_read_exit_2(tmp_path, capsys, command,
                                                flag, value):
@@ -152,6 +154,13 @@ def test_key_the_command_does_not_read_exit_2(tmp_path, capsys, command,
     assert main(argv + ["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "error: invalid spec:" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["ber", "encode"])
+def test_negative_seed_exit_2(capsys, command):
+    # a negative seed cannot seed a SeedSequence
+    assert main([command, *TINY[command].split(), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid spec: seed ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,10 +355,11 @@ def test_cpu_count_cannot_change_a_threshold_csv(monkeypatch, tmp_path, argv):
         assert texts[0] == strip_timestamp(THRESHOLD_GOLDEN.read_text())
 
 
-# The commands the benchmark times; importing scipy would be most of their
-# start-up time, and multiprocessing, which only work split across CPUs (a
-# ber batch or a threshold search) needs, a tenth of it.  The check goes by
-# what was imported, not by timing.
+# The commands the benchmark times, and the SPC genie bound of ber and
+# bound; importing scipy would be most of their start-up time, and
+# multiprocessing, which only work split across CPUs (a ber batch or a
+# threshold search) needs, a tenth of it.  The check goes by what was
+# imported, not by timing.
 NO_SCIPY_RUNS = """
 import sys
 import bmst.cli
@@ -359,7 +369,10 @@ from bmst.harness import run_spec
 for argv in (["ber", "--code", "rc:2", "--cart", "4", "--memory", "1",
               "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"],
              ["threshold-vs-l", "--code", "rc:2", "--memory", "1",
-              "--length", "10"]):
+              "--length", "10"],
+             ["bound", "--code", "spc:4", "--snr", "4:5:1"],
+             ["ber", "--code", "spc:3", "--cart", "4", "--memory", "1",
+              "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"]):
     assert run_spec(bmst.cli.spec_from_args(argv))[1] == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

@@ -102,6 +102,13 @@ class TestExitWindowRun:
         res = exit_window_run(SPC4, 1, 3, 50, 14.0, 1e-7)
         assert res.success
 
+    @pytest.mark.parametrize("small", [RC2, SPC4], ids=["rc2", "spc4"])
+    def test_certain_messages_at_high_snr(self, small):
+        # above about 18 dB the equality node sees infinite variances
+        for g in (19.0, 30.0):
+            res = exit_window_run(small, 1, 3, 10, g, 1e-7)
+            assert res.success and np.all(res.p_est == 0.0)
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_single_layer_matches_genie_bound(self, n, m):
@@ -394,9 +401,16 @@ class TestGenieBound:
                 target, rel=1e-9)
 
     def test_spc_bound_via_bisection(self):
-        g = genie_bound_ebn0_at_target(SPC4, 1, 1000, 1e-3, seed=3)
-        val = genie_lower_bound(SPC4, 1, 1000, g, seed=3).ber
-        assert val == pytest.approx(1e-3, rel=0.2)
+        g = genie_bound_ebn0_at_target(SPC4, 1, 1000, 1e-3)
+        val = genie_lower_bound(SPC4, 1, 1000, g).ber
+        assert val == pytest.approx(1e-3, rel=0.01)
+
+    def test_spc4_bound_at_targets(self):
+        # independent values of the SPC[4,3] m=1, L=1000 genie bound
+        for target, want in [(1e-2, 0.705), (1e-5, 5.289), (1e-6, 6.149),
+                             (1e-7, 6.870)]:
+            got = genie_bound_ebn0_at_target(SPC4, 1, 1000, target)
+            assert abs(got - want) <= exit_engine.GENIE_RESOLUTION_DB
 
     def test_monotone_decreasing_in_snr(self):
         vals = [genie_lower_bound(RC2, 2, 500, g).ber for g in np.arange(0, 8, 0.5)]
