@@ -10,9 +10,11 @@ the chain succeeds.
 The recursion tracks one scalar MI per edge class under the consistent-
 Gaussian assumption; interleavers are MI-transparent in the ensemble limit,
 so the Cartesian order drops out and only the small-code family matters.
-Each message is one number, the std its sender computes; the receiver
-reads it as a variance in its own domain through the J-duality map
-(``jdual``), so a node sums variances and needs no J inversion.
+Each message is one number, the std its sender computes, kept beside the
+weight its receiver reads: the message's variance in the receiver's domain,
+``jdual(std)**2`` by the J-duality map.  The sender computes that weight,
+and only when the message changes, so a node sums stored weights, needs no
+J inversion, and a message that stays put costs no ``jdual``.
 Decided layers keep (freeze) their final outgoing MI rather than being
 forced to 1, which is what makes error propagation into later windows
 visible at low SNR.  Each window runs the window decoder's schedule,
@@ -108,12 +110,19 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     computes from ``a``, the sum of its other input variances.  A parity
     node's message has MI 1 - J(sqrt(a)), an equality node's J(sqrt(a));
     either receiver reads it as the variance (or weight)
-    ``jdual(sqrt(a))**2``.  The code node's extrinsic variance is
-    (n-1) * total for RC and ``jdual(sqrt(n-1) * jdual(sqrt(total)))**2``
-    for SPC: the variance forms of
-    :func:`~bmst.basic_codes.exit_transfer_c`, which the convergence check
-    still evaluates in the MI domain.  The fixed-point test and the
-    steady-state shortcut compare MI, which an unchanged std leaves alone.
+    ``jdual(sqrt(a))**2``, which the state keeps beside the std
+    (``w_plus``, ``w_eq``).  The sender computes it when it writes a std
+    that differs from the one before, and receivers read it as stored.  A
+    window reads the weights of its decided layers' edges once, when it
+    starts; they come last in a parity node's edge order, so every sum adds
+    the same terms in the same order as a loop over the edges would.
+
+    The code node's extrinsic variance is (n-1) * total for RC and
+    ``jdual(sqrt(n-1) * jdual(sqrt(total)))**2`` for SPC: the variance
+    forms of :func:`~bmst.basic_codes.exit_transfer_c`, which the
+    convergence check still evaluates in the MI domain.  The fixed-point
+    test and the steady-state shortcut compare MI, which an unchanged std
+    leaves alone; the shortcut copies the weights with the stds.
 
     Mid-chain windows repeat verbatim once their frozen inputs stop
     changing; ``steady_state_shortcut`` detects that and skips ahead, which
@@ -130,9 +139,12 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
 
     q = m + 1
     # sigma of each message, by its receiver's side: MI 0 is sigma 0 toward
-    # a parity node and sigma inf toward an equality node.
+    # a parity node and sigma inf toward an equality node.  Beside it, the
+    # weight its receiver reads, jdual(sigma)**2: inf and 0.0 at the start.
     to_plus = [[0.0] * q for _ in range(L)]
+    w_plus = [[_INF] * q for _ in range(L)]
     to_eq = [[_INF] * q for _ in range(L)]
+    w_eq = [[0.0] * q for _ in range(L)]
     p_trace = np.full(L, np.nan)
 
     # Module attributes are looked up once per run, so a wrapped jfun, jdual
@@ -145,31 +157,26 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     inf = _INF
     tol = FIXED_POINT_TOL
 
-    def variances(row):
-        """A row's messages as variances in the receiver's domain, and
-        their sum."""
-        v = [j_dual(s) ** 2 for s in row]
-        total = 0.0
-        for vi in v:
-            total += vi
-        return v, total
-
-    def plus_node(edges, moved: bool) -> bool:
-        """Update one parity node from its bound edges ``(prow, j, erow)``:
-        it reads ``prow[j]`` and answers into ``erow[j]``, or nowhere for a
-        decided layer (``erow`` None).  Returns whether any message of the
-        sweep so far moved by more than ``tol``."""
-        weights = [j_dual(prow[j]) ** 2 for prow, j, _ in edges]
-        n_inf = 0
+    def plus_node(live, n_frozen_inf: int, frozen, moved: bool) -> bool:
+        """Update one parity node.  ``live`` holds its edges to the
+        window's layers as ``(wrow, j, erow, werow)``: it reads the weight
+        ``wrow[j]`` and answers into ``erow[j]`` and ``werow[j]``.  The
+        decided layers' edges come last in edge order; they add
+        ``n_frozen_inf`` infinite weights and the finite ones in ``frozen``.
+        Returns whether any message of the sweep so far moved by more than
+        ``tol``."""
+        n_inf = n_frozen_inf
         fin = 0.0
-        for w in weights:
+        for wrow, j, _, _ in live:
+            w = wrow[j]
             if w == inf:
                 n_inf += 1
             else:
                 fin += w
-        for (_, j, erow), w in zip(edges, weights):
-            if erow is None:
-                continue
+        for w in frozen:
+            fin += w
+        for wrow, j, erow, werow in live:
+            w = wrow[j]  # this node writes no weight it reads
             if w == inf:
                 others_inf = n_inf - 1
                 others_fin = fin
@@ -182,49 +189,65 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                 a = w_ch + others_fin
                 sa = sqrt(0.0 if a < 0.0 else a)
             old = erow[j]
-            if not moved and sa != old:
-                diff = (1.0 - j_fun(sa)) - (1.0 - j_fun(old))
-                moved = diff > tol or -diff > tol
-            erow[j] = sa
+            if sa != old:
+                if not moved:
+                    diff = (1.0 - j_fun(sa)) - (1.0 - j_fun(old))
+                    moved = diff > tol or -diff > tol
+                erow[j] = sa
+                werow[j] = j_dual(sa) ** 2
         return moved
 
     def eq_c_node(tp: int, moved: bool) -> bool:
         """Update the equality and code nodes of layer tp; returns the
         running ``moved`` flag as :func:`plus_node` does."""
-        v, total = variances(to_eq[tp])
+        v = w_eq[tp]
+        total = 0.0
+        for vi in v:  # in edge order; sum() compensates from Python 3.12 on
+            total += vi
         if rc:
             v_c = n_other * total
         else:
             v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
         row = to_plus[tp]
+        wrow = w_plus[tp]
         for i in range(q):
             # An infinite input makes v_c infinite: no inf - inf.
-            a = inf if v[i] == inf else total - v[i] + v_c
+            vi = v[i]
+            a = inf if vi == inf else total - vi + v_c
             sa = sqrt(0.0 if a < 0.0 else a)
             old = row[i]
-            if not moved and sa != old:
-                diff = j_fun(sa) - j_fun(old)
-                moved = diff > tol or -diff > tol
-            row[i] = sa
+            if sa != old:
+                if not moved:
+                    diff = j_fun(sa) - j_fun(old)
+                    moved = diff > tol or -diff > tol
+                row[i] = sa
+                wrow[i] = j_dual(sa) ** 2
         return moved
 
     def run_window(t: int) -> ConvergenceCheck:
         plan = window_plan(L, m, d, t)
-        nodes = [(s <= plan.layer_end, s,
-                  [(to_plus[x], j, None if x < t else to_eq[x])
-                   for j, x in edges])
-                 for s, edges in plan.sweep]
+        nodes = []
+        for s, edges in plan.sweep:
+            # A decided layer's weights are frozen: read them once.
+            frozen = [w_plus[x][j] for j, x in edges if x < t]
+            nodes.append((s <= plan.layer_end, s,
+                          [(w_plus[x], j, to_eq[x], w_eq[x])
+                           for j, x in edges if x >= t],
+                          frozen.count(inf), [w for w in frozen if w != inf]))
         for _ in range(i_max):
             # A sweep is a fixed point when no message of the window's layers
             # moves by more than tol in MI; each is written once per sweep.
             moved = False
-            for layer, s, edges in nodes:
-                moved = plus_node(edges, moved)
+            for layer, s, live, n_frozen_inf, frozen in nodes:
+                moved = plus_node(live, n_frozen_inf, frozen, moved)
                 if layer:
                     moved = eq_c_node(s, moved)
             if not moved:
                 break
-        i_a = j_fun(sqrt(variances(to_eq[t])[1]))
+        total = 0.0
+        for w in w_eq[t]:
+            total += w
+        i_a = j_fun(sqrt(total))
         return convergence_check(i_a, transfer(small, i_a), target_ber)
 
     def snapshot_band(t: int, t_end: int):
@@ -255,13 +278,14 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                     and all(abs(a - b) <= tol
                             for a, b in zip(band, prev_band))):
                 # Every window up to last_mid will repeat this one verbatim.
-                saved_plus = [list(row) for row in to_plus[t:t + d + 1]]
-                saved_eq = [list(row) for row in to_eq[t:t + d + 1]]
                 p_trace[t + 1:last_mid + 1] = check.p_est
-                for x in range(t + 1, last_mid + 1):
-                    to_plus[x] = list(to_plus[t])
-                to_plus[last_mid:last_mid + d + 1] = saved_plus
-                to_eq[last_mid:last_mid + d + 1] = saved_eq
+                for plus, eq in ((to_plus, to_eq), (w_plus, w_eq)):
+                    saved_plus = [list(row) for row in plus[t:t + d + 1]]
+                    saved_eq = [list(row) for row in eq[t:t + d + 1]]
+                    for x in range(t + 1, last_mid + 1):
+                        plus[x] = list(plus[t])
+                    plus[last_mid:last_mid + d + 1] = saved_plus
+                    eq[last_mid:last_mid + d + 1] = saved_eq
                 t = last_mid + 1
                 continue
             prev_band = band

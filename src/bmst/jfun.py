@@ -20,7 +20,8 @@ Newton inversion per message.
 :func:`write_tables` builds that file from the quadrature values; it is the
 only code that needs scipy to evaluate J.  Regenerate the file with
 ``python -c "from bmst.jfun import TABLES_PATH, write_tables;
-write_tables(TABLES_PATH)"``; the tests check that it equals a fresh build
+write_tables(TABLES_PATH)"``, which works with the file missing or damaged
+(the J functions then raise); the tests check that it equals a fresh build
 byte for byte.
 """
 
@@ -87,71 +88,60 @@ _N_INT = 2200       # J-spline intervals of width _STEP on [0, SIGMA_MAX]
 _N_INV = 4096       # steps of the seed table on the MI grid [0, mi_hi]
 _SIGMA_HI = 12.0    # mi_hi = J(_SIGMA_HI), about 1 - 4.3e-9
 _DUAL_N = 8194      # duality-table intervals; J rounds to 1 at their end
+_DUAL_END = _DUAL_S0 + _DUAL_STEP * _DUAL_N
 _TABLE_BYTES = 8 * ((_N_INT + 1) + 4 * _N_INT + 1 + (_N_INV + 1) + 4 * _DUAL_N)
 
 
-class _Tables:
-    """The J spline, the seeds of ``jinv`` and the duality table, read from
-    ``path``; a missing or wrong-sized file raises ``RuntimeError``."""
-
-    def __init__(self, path: Path = TABLES_PATH) -> None:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise RuntimeError(f"cannot read the J tables: {exc}; regenerate "
-                               f"them with bmst.jfun.write_tables") from exc
-        if len(data) != _TABLE_BYTES:
-            raise RuntimeError(f"J table file {path} holds {len(data)} bytes, "
-                               f"not {_TABLE_BYTES}; regenerate it with "
-                               f"bmst.jfun.write_tables")
-        vals = array("d", data)
-        if sys.byteorder == "big":
-            vals.byteswap()
-        k = _N_INT + 1
-        # Per-interval (c0, c1, c2, c3): one lookup per evaluation.
-        self._coef = list(zip(*(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
-                                for j in range(4))))
-        k += 4 * _N_INT
-        self.mi_hi = vals[k]
-        self._inv_mi_step = self.mi_hi / _N_INV
-        self._inv_sigma = vals[k + 1:k + _N_INV + 2].tolist()
-        # Flattened (c0, c1, c2, c3) of the duality table's intervals.
-        self.dual_coef = vals[k + _N_INV + 2:]
-        self.dual_end = _DUAL_S0 + _DUAL_STEP * _DUAL_N
-
-    def eval(self, x: float) -> float:
-        if x >= SIGMA_MAX:
-            return 1.0
-        i = int(x * _INV_STEP)
-        if i >= _N_INT:
-            i = _N_INT - 1
-        u = x - i * _STEP
-        c0, c1, c2, c3 = self._coef[i]
-        y = c0 + u * (c1 + u * (c2 + u * c3))
-        if y <= 0.0:
-            return 0.0
-        return y if y < 1.0 else 1.0
-
-    def slope(self, x: float) -> float:
-        """J'(x) from the interval ``eval`` reads; 0 from ``SIGMA_MAX`` on."""
-        if x >= SIGMA_MAX:
-            return 0.0
-        i = int(x * _INV_STEP)
-        if i >= _N_INT:
-            i = _N_INT - 1
-        u = x - i * _STEP
-        _, c1, c2, c3 = self._coef[i]
-        return c1 + u * (2.0 * c2 + 3.0 * c3 * u)
+def _read_tables(path: Path = TABLES_PATH) -> tuple:
+    """The J spline's (c0, c1, c2, c3) per interval, ``mi_hi``, the seeds of
+    ``jinv`` and the flattened (c0, c1, c2, c3) of the duality table's
+    intervals, read from ``path``; a missing or wrong-sized file raises
+    ``RuntimeError``."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise RuntimeError(f"cannot read the J tables: {exc}; regenerate "
+                           f"them with bmst.jfun.write_tables") from exc
+    if len(data) != _TABLE_BYTES:
+        raise RuntimeError(f"J table file {path} holds {len(data)} bytes, "
+                           f"not {_TABLE_BYTES}; regenerate it with "
+                           f"bmst.jfun.write_tables")
+    vals = array("d", data)
+    if sys.byteorder == "big":
+        vals.byteswap()
+    k = _N_INT + 1
+    coef = list(zip(*(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
+                      for j in range(4))))
+    k += 4 * _N_INT
+    return (coef, vals[k], vals[k + 1:k + _N_INV + 2].tolist(),
+            vals[k + _N_INV + 2:])
 
 
-_TABLE: _Tables | None = None
+def _load_tables() -> None:
+    """Read ``TABLES_PATH`` and bind its tables to the names the J functions
+    read."""
+    global _J_COEF, _MI_HI, _INV_SIGMA, _DUAL_COEF, _INV_MI_STEP
+    _J_COEF, _MI_HI, _INV_SIGMA, _DUAL_COEF = _read_tables()
+    _INV_MI_STEP = _MI_HI / _N_INV
 
 
-def _table() -> _Tables:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _Tables()
-    return _TABLE
+class _Unread:
+    """Stands in for a table until its first lookup, which reads the file:
+    importing bmst opens no file, and a J evaluation tests nothing per call
+    to find its table.  While the file cannot be read, each lookup raises
+    and :func:`write_tables` can still mend it."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __getitem__(self, index):
+        if globals()[self.name] is self:  # a caller may hold it past the load
+            _load_tables()
+        return globals()[self.name][index]
+
+
+_J_COEF, _DUAL_COEF = _Unread("_J_COEF"), _Unread("_DUAL_COEF")
+_MI_HI = _INV_SIGMA = _INV_MI_STEP = None  # jinv loads them itself
 
 
 def write_tables(path: Path | str) -> None:
@@ -240,16 +230,39 @@ def jfun(sigma):
 
     Accepts a scalar or ndarray; values above ``SIGMA_MAX`` map to 1.0.
     """
-    tab = _TABLE if _TABLE is not None else _table()
-    if isinstance(sigma, (float, int)):
-        if sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        return tab.eval(float(sigma))  # inf lies above SIGMA_MAX: 1.0
-    arr = np.asarray(sigma, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("sigma must be non-negative")
-    return np.array([tab.eval(x) for x in arr.ravel().tolist()]).reshape(
-        arr.shape)
+    if type(sigma) is not float:
+        if isinstance(sigma, (float, int)):
+            return jfun(float(sigma))
+        arr = np.asarray(sigma, dtype=float)
+        if np.any(arr < 0.0):
+            raise ValueError("sigma must be non-negative")
+        return np.array([jfun(x) for x in arr.ravel().tolist()]).reshape(
+            arr.shape)
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if sigma >= SIGMA_MAX:
+        return 1.0  # inf too
+    i = int(sigma * _INV_STEP)
+    if i >= _N_INT:
+        i = _N_INT - 1
+    u = sigma - i * _STEP
+    c0, c1, c2, c3 = _J_COEF[i]
+    y = c0 + u * (c1 + u * (c2 + u * c3))
+    if y <= 0.0:
+        return 0.0
+    return y if y < 1.0 else 1.0
+
+
+def _jslope(x: float) -> float:
+    """J'(x) from the interval :func:`jfun` reads; 0 from ``SIGMA_MAX`` on."""
+    if x >= SIGMA_MAX:
+        return 0.0
+    i = int(x * _INV_STEP)
+    if i >= _N_INT:
+        i = _N_INT - 1
+    u = x - i * _STEP
+    _, c1, c2, c3 = _J_COEF[i]
+    return c1 + u * (2.0 * c2 + 3.0 * c3 * u)
 
 
 def jinv(mi):
@@ -258,7 +271,6 @@ def jinv(mi):
     Accepts a scalar or ndarray in [0, 1]; satisfies
     ``|jfun(jinv(x)) - x| <= 1e-8`` everywhere (typically below 1e-12).
     """
-    tab = _TABLE if _TABLE is not None else _table()
     if not isinstance(mi, (float, int)):
         arr = np.asarray(mi, dtype=float)
         if np.any((arr < 0.0) | (arr > 1.0)):
@@ -271,12 +283,14 @@ def jinv(mi):
         return 0.0
     if mi == 1.0:
         return math.inf
-    if mi > tab.mi_hi:
+    if _MI_HI is None:
+        _load_tables()
+    if mi > _MI_HI:
         # Deep saturation: bisect on the spline between sigma_hi and SIGMA_MAX.
         lo, hi = _SIGMA_HI, SIGMA_MAX
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if tab.eval(mid) < mi:
+            if jfun(mid) < mi:
                 lo = mid
             else:
                 hi = mid
@@ -285,25 +299,24 @@ def jinv(mi):
         s = math.sqrt(mi / _SMALL_MI_COEFF)
     else:
         # Linear interpolation in the inverse table.
-        inv_sigma = tab._inv_sigma
-        r = mi / tab._inv_mi_step
+        r = mi / _INV_MI_STEP
         k = int(r)
-        if k >= len(inv_sigma) - 1:
-            s = inv_sigma[-1]
+        if k >= _N_INV:
+            s = _INV_SIGMA[_N_INV]
         else:
-            a = inv_sigma[k]
-            s = a + (r - k) * (inv_sigma[k + 1] - a)
+            a = _INV_SIGMA[k]
+            s = a + (r - k) * (_INV_SIGMA[k + 1] - a)
     # Safeguarded Newton on the spline.
     lo, hi = 0.0, SIGMA_MAX
     for _ in range(30):
-        f = tab.eval(s) - mi
+        f = jfun(s) - mi
         if -1e-13 <= f <= 1e-13:
             break
         if f > 0.0:
             hi = s
         else:
             lo = s
-        d = tab.slope(s)
+        d = _jslope(s)
         nxt = s - f / d if d > 0.0 else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -319,16 +332,15 @@ def jdual(s: float) -> float:
     ``|J(jdual(s)) + J(s) - 1|`` stays below 1e-12.  Below the table's first
     node it is computed as ``jinv(1.0 - jfun(s))``.
     """
-    tab = _TABLE if _TABLE is not None else _table()
     if s < _DUAL_S0:
         return jinv(1.0 - jfun(s))
-    if s >= tab.dual_end:
+    if s >= _DUAL_END:
         return 0.0
     i = int((s - _DUAL_S0) * _DUAL_INV_STEP)
     if i >= _DUAL_N:
         i = _DUAL_N - 1
     u = s - (_DUAL_S0 + i * _DUAL_STEP)
-    coef = tab.dual_coef
+    coef = _DUAL_COEF
     k = 4 * i
     y = coef[k] + u * (coef[k + 1] + u * (coef[k + 2] + u * coef[k + 3]))
     return y if y > 0.0 else 0.0

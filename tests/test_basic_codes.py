@@ -9,6 +9,7 @@ from bmst.basic_codes import (ber_basic, cartesian, encode_basic,
                               exit_transfer_c, make_small_code,
                               siso_decode_basic)
 from bmst.jfun import qfunc
+from bmst.llr import LLR_CLIP
 
 
 def gf2_rank(mat):
@@ -142,8 +143,10 @@ class TestSiso:
         assert app[0] == pytest.approx(5.0)
 
     def test_spc_saturated_parity(self):
+        # inputs at the clip, where tanh(LLR / 2) rounds to +-1: the parity
+        # answers the clip, with the sign of their product
         code = cartesian(make_small_code("spc", 4), 1)
-        ext, _ = siso_decode_basic(code, [np.inf, np.inf, np.inf, 0.0])
+        ext, _ = siso_decode_basic(code, [LLR_CLIP, -LLR_CLIP, -LLR_CLIP, 0.0])
         assert ext[3] == 50.0
 
     def test_spc_zero_absorbs(self):

@@ -185,8 +185,34 @@ def test_analysis_runs_the_decoders_window_plans(monkeypatch, m, d):
     assert plans["analysis"] == plans["decoder"]
 
 
-# Eleven runs, RC and SPC, m = 0-3, shortcut on and off; six take the
-# steady-state shortcut and two fail (at layers 1 and 3).
+def test_wrapped_j_functions_see_every_call(monkeypatch):
+    # exit_window_run looks jfun and jdual up as module attributes once per
+    # run, so a wrapper (bench/tracer.py wraps jfun) sees their calls and
+    # leaves the outputs alone
+    for small in (RC2, SPC4):
+        args = (small, 1, 3, 60, 4.0, 1e-3)
+        plain = exit_window_run(*args)
+        calls = {"jfun": 0, "jdual": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def counted(x, name=name, original=getattr(exit_engine, name)):
+                    calls[name] += 1
+                    return original(x)
+
+                patch.setattr(exit_engine, name, counted)
+            wrapped = exit_window_run(*args)
+        assert calls["jfun"] > 0 and calls["jdual"] > 0
+        assert wrapped.p_est.tobytes() == plain.p_est.tobytes()
+        assert (wrapped.success, wrapped.fail_layer,
+                wrapped.windows_computed) == (plain.success, plain.fail_layer,
+                                              plain.windows_computed)
+
+
+# Fifteen runs, RC and SPC, m = 0-3, shortcut on and off; nine take the
+# steady-state shortcut and three fail (at layers 1, 3 and 6).  The last
+# four: an L=1000 run whose shortcut comes late; a run in which jdual takes
+# its jinv(1 - jfun(s)) path below s = 0.5; RC and SPC at 19 dB, where
+# weights are infinite.
 GOLDEN_RUNS = json.loads(
     (Path(__file__).parent / "golden" / "exit_window_runs.json").read_text())
 

@@ -1,11 +1,15 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bmst
-from bmst.jfun import (SIGMA_MAX, TABLES_PATH, _Tables, jdual, jfun,
+from bmst.jfun import (SIGMA_MAX, TABLES_PATH, _read_tables, jdual, jfun,
                        jfun_quad, jinv, qfunc, qfunc_inv, write_tables)
 
 LN2 = math.log(2.0)
@@ -129,9 +133,9 @@ def test_damaged_or_missing_table_file_raises(tmp_path):
     short = tmp_path / "short.bin"
     short.write_bytes(TABLES_PATH.read_bytes()[:-32])
     with pytest.raises(RuntimeError, match="write_tables"):
-        _Tables(short)
+        _read_tables(short)
     with pytest.raises(RuntimeError, match="write_tables"):
-        _Tables(tmp_path / "absent.bin")
+        _read_tables(tmp_path / "absent.bin")
 
 
 def test_table_file_is_declared_package_data():
@@ -142,3 +146,24 @@ def test_table_file_is_declared_package_data():
         package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
     assert TABLES_PATH.parent == Path(bmst.__file__).parent
     assert TABLES_PATH.name in package_data["bmst"]
+
+
+def test_unreadable_tables_still_let_write_tables_mend_them(tmp_path):
+    # bmst imports without its tables, each J function then raises the
+    # reading error, and write_tables rebuilds the file
+    pkg = tmp_path / "bmst"
+    shutil.copytree(Path(bmst.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    table = pkg / TABLES_PATH.name
+    table.write_bytes(table.read_bytes()[:-32])
+    script = (
+        "import math, pytest\n"
+        "from bmst.jfun import jdual, jfun, jinv, write_tables, TABLES_PATH\n"
+        "for f, x in ((jfun, 1.0), (jinv, 0.5), (jinv, 1e-5), (jdual, 1.0),\n"
+        "             (jdual, 0.1)):\n"
+        "    with pytest.raises(RuntimeError, match='write_tables'):\n"
+        "        f(x)\n"
+        "write_tables(TABLES_PATH)\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+    assert table.read_bytes() == TABLES_PATH.read_bytes()
