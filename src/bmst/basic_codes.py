@@ -50,10 +50,6 @@ class BasicCode:
     N: int
     K: int
 
-    @property
-    def rate(self) -> float:
-        return self.K / self.N
-
     def generator(self) -> np.ndarray:
         """Dense K x N block-diagonal generator; intended for small instances."""
         g = np.zeros((self.K, self.N), dtype=np.uint8)
@@ -161,7 +157,7 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
     return ext.reshape(lead + (code.N,)), app
 
 
-def exit_transfer_c(code: BasicCode | SmallCode, i_a: float) -> float:
+def exit_transfer_c(small: SmallCode, i_a: float) -> float:
     """Scalar EXIT transfer of the code-constraint node.
 
     Under the consistent-Gaussian assumption the repetition code combines the
@@ -170,7 +166,6 @@ def exit_transfer_c(code: BasicCode | SmallCode, i_a: float) -> float:
     """
     if not 0.0 <= i_a <= 1.0:
         raise ValueError(f"a-priori MI must lie in [0, 1], got {i_a}")
-    small = code.small if isinstance(code, BasicCode) else code
     scale = math.sqrt(small.n - 1)
     if small.kind == RC:
         return jfun(scale * jinv(i_a))
@@ -217,7 +212,7 @@ def _gauss_rule(x: np.ndarray, w: np.ndarray, points: int):
     return nodes, np.where(np.isfinite(norm), total / norm, 0.0)
 
 
-def ber_basic(code: BasicCode | SmallCode, ebn0_db: float) -> BerEstimate:
+def ber_basic(small: SmallCode, ebn0_db: float) -> BerEstimate:
     """BER of the basic code under MAP decoding on the BPSK-AWGN channel.
 
     ``ebn0_db`` is normalized by the basic code rate k/n.  Repetition codes
@@ -230,7 +225,6 @@ def ber_basic(code: BasicCode | SmallCode, ebn0_db: float) -> BerEstimate:
     sharply in l, and with as many the value moved by 2e-5 relative when
     ``GAUSS_POINTS`` doubled (n = 8, 8.5 dB), with twice as many by 3e-7.
     """
-    small = code.small if isinstance(code, BasicCode) else code
     if small.kind == RC:
         # n observations at Es/N0 = (Eb/N0)/n combine to 2*Eb/N0 after ML.
         p = qfunc(math.sqrt(2.0 * 10.0 ** (ebn0_db / 10.0)))

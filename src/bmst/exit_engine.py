@@ -30,8 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .basic_codes import (RC, BasicCode, BerEstimate, SmallCode, ber_basic,
-                          exit_transfer_c)
+from .basic_codes import RC, BerEstimate, SmallCode, ber_basic, exit_transfer_c
 from .channel import channel_mi, ebn0_to_sigma
 from .encoder import coupled_rate, window_plan
 from .forked import Children, worker_count
@@ -426,8 +425,8 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
                            query, evals)
 
 
-def genie_lower_bound(code: BasicCode | SmallCode, memory: int,
-                      coupling_len: int, ebn0_db: float) -> BerEstimate:
+def genie_lower_bound(small: SmallCode, memory: int, coupling_len: int,
+                      ebn0_db: float) -> BerEstimate:
     """BER lower bound of the coupled code from a genie-aided argument.
 
     A decoder told every other layer's bits sees the basic code repeated
@@ -439,16 +438,15 @@ def genie_lower_bound(code: BasicCode | SmallCode, memory: int,
         raise ValueError("need memory >= 0 and coupling_len >= 1")
     shifted = (ebn0_db + 10.0 * math.log10(memory + 1)
                - 10.0 * math.log10(1.0 + memory / coupling_len))
-    return ber_basic(code, shifted)
+    return ber_basic(small, shifted)
 
 
-def genie_bound_ebn0_at_target(code: BasicCode | SmallCode, memory: int,
+def genie_bound_ebn0_at_target(small: SmallCode, memory: int,
                                coupling_len: int, target_ber: float) -> float:
     """Eb/N0 (dB) at which the genie-aided bound equals the target BER;
     SPC codes bisect the bound to ``GENIE_RESOLUTION_DB``."""
     if not 0.0 < target_ber < 0.5:
         raise ValueError("target BER must lie in (0, 0.5)")
-    small = code.small if isinstance(code, BasicCode) else code
     correction = (10.0 * math.log10(memory + 1)
                   - 10.0 * math.log10(1.0 + memory / coupling_len))
     if small.kind == RC:
@@ -458,7 +456,7 @@ def genie_bound_ebn0_at_target(code: BasicCode | SmallCode, memory: int,
     lo, hi = -10.0, 40.0
     while hi - lo > GENIE_RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
-        if genie_lower_bound(code, memory, coupling_len, mid).ber > target_ber:
+        if genie_lower_bound(small, memory, coupling_len, mid).ber > target_ber:
             lo = mid
         else:
             hi = mid

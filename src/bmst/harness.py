@@ -177,17 +177,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv_text(spec: ExperimentSpec, columns: list[str], rows: list[tuple],
-              timestamp: str | None = None) -> str:
+def _csv_text(spec: ExperimentSpec, columns: list[str],
+              rows: list[tuple]) -> str:
     lines = [f"# bmst-csv v1 package={__version__}"]
     for k, v in spec_to_metadata(spec).items():
         lines.append(f"# {k}={v}")
     lines.append(f"# rng=pcg64 perms={PERM_ALGORITHM.split('/')[0]} "
                  f"noise={NOISE_ALGORITHM.split('/')[0]} numpy={np.__version__}")
     lines.append(f"# batch_codewords={BATCH_CODEWORDS}")
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat()
-    lines.append(f"# timestamp={timestamp}")
+    lines.append(f"# timestamp={datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))

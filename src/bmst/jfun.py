@@ -90,22 +90,23 @@ _SIGMA_HI = 12.0    # mi_hi = J(_SIGMA_HI), about 1 - 4.3e-9
 _DUAL_N = 8194      # duality-table intervals; J rounds to 1 at their end
 _DUAL_END = _DUAL_S0 + _DUAL_STEP * _DUAL_N
 _TABLE_BYTES = 8 * ((_N_INT + 1) + 4 * _N_INT + 1 + (_N_INV + 1) + 4 * _DUAL_N)
+_REGENERATE = ("regenerate the J tables with python -c \"from bmst.jfun "
+               "import TABLES_PATH, write_tables; write_tables(TABLES_PATH)\"")
 
 
 def _read_tables(path: Path = TABLES_PATH) -> tuple:
-    """The J spline's (c0, c1, c2, c3) per interval, ``mi_hi``, the seeds of
-    ``jinv`` and the flattened (c0, c1, c2, c3) of the duality table's
-    intervals, read from ``path``; a missing or wrong-sized file raises
-    ``RuntimeError``."""
+    """The J spline's (c0, c1, c2, c3) per interval, ``mi_hi`` followed by
+    the seeds of ``jinv``, and the flattened (c0, c1, c2, c3) of the duality
+    table's intervals, read from ``path``; a missing or wrong-sized file
+    raises ``RuntimeError``."""
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise RuntimeError(f"cannot read the J tables: {exc}; regenerate "
-                           f"them with bmst.jfun.write_tables") from exc
+        raise RuntimeError(f"cannot read the J tables: {exc}; {_REGENERATE}"
+                           ) from exc
     if len(data) != _TABLE_BYTES:
         raise RuntimeError(f"J table file {path} holds {len(data)} bytes, "
-                           f"not {_TABLE_BYTES}; regenerate it with "
-                           f"bmst.jfun.write_tables")
+                           f"not {_TABLE_BYTES}; {_REGENERATE}")
     vals = array("d", data)
     if sys.byteorder == "big":
         vals.byteswap()
@@ -113,16 +114,14 @@ def _read_tables(path: Path = TABLES_PATH) -> tuple:
     coef = list(zip(*(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
                       for j in range(4))))
     k += 4 * _N_INT
-    return (coef, vals[k], vals[k + 1:k + _N_INV + 2].tolist(),
-            vals[k + _N_INV + 2:])
+    return coef, vals[k:k + _N_INV + 2].tolist(), vals[k + _N_INV + 2:]
 
 
 def _load_tables() -> None:
     """Read ``TABLES_PATH`` and bind its tables to the names the J functions
     read."""
-    global _J_COEF, _MI_HI, _INV_SIGMA, _DUAL_COEF, _INV_MI_STEP
-    _J_COEF, _MI_HI, _INV_SIGMA, _DUAL_COEF = _read_tables()
-    _INV_MI_STEP = _MI_HI / _N_INV
+    global _J_COEF, _INV, _DUAL_COEF
+    _J_COEF, _INV, _DUAL_COEF = _read_tables()
 
 
 class _Unread:
@@ -140,8 +139,8 @@ class _Unread:
         return globals()[self.name][index]
 
 
-_J_COEF, _DUAL_COEF = _Unread("_J_COEF"), _Unread("_DUAL_COEF")
-_MI_HI = _INV_SIGMA = _INV_MI_STEP = None  # jinv loads them itself
+_J_COEF, _INV, _DUAL_COEF = (_Unread("_J_COEF"), _Unread("_INV"),
+                              _Unread("_DUAL_COEF"))
 
 
 def write_tables(path: Path | str) -> None:
@@ -225,19 +224,10 @@ def write_tables(path: Path | str) -> None:
     Path(path).write_bytes(data.astype("<f8").tobytes())
 
 
-def jfun(sigma):
-    """Mutual information of a consistent Gaussian LLR with std ``sigma``.
-
-    Accepts a scalar or ndarray; values above ``SIGMA_MAX`` map to 1.0.
+def jfun(sigma: float) -> float:
+    """Mutual information of a consistent Gaussian LLR with std ``sigma``, a
+    real scalar; values from ``SIGMA_MAX`` on (``inf`` too) map to 1.0.
     """
-    if type(sigma) is not float:
-        if isinstance(sigma, (float, int)):
-            return jfun(float(sigma))
-        arr = np.asarray(sigma, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("sigma must be non-negative")
-        return np.array([jfun(x) for x in arr.ravel().tolist()]).reshape(
-            arr.shape)
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma >= SIGMA_MAX:
@@ -265,17 +255,12 @@ def _jslope(x: float) -> float:
     return c1 + u * (2.0 * c2 + 3.0 * c3 * u)
 
 
-def jinv(mi):
+def jinv(mi: float) -> float:
     """Inverse of :func:`jfun`; ``jinv(1.0)`` is ``inf``, ``jinv(0.0)`` is 0.
 
-    Accepts a scalar or ndarray in [0, 1]; satisfies
-    ``|jfun(jinv(x)) - x| <= 1e-8`` everywhere (typically below 1e-12).
+    Takes a real scalar in [0, 1]; satisfies ``|jfun(jinv(x)) - x| <= 1e-8``
+    everywhere (typically below 1e-12).
     """
-    if not isinstance(mi, (float, int)):
-        arr = np.asarray(mi, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("mutual information must lie in [0, 1]")
-        return np.array([jinv(float(x)) for x in arr.ravel()]).reshape(arr.shape)
     if mi < 0.0 or mi > 1.0:
         raise ValueError(f"mutual information must lie in [0, 1], got {mi}")
     mi = float(mi)
@@ -283,9 +268,9 @@ def jinv(mi):
         return 0.0
     if mi == 1.0:
         return math.inf
-    if _MI_HI is None:
-        _load_tables()
-    if mi > _MI_HI:
+    inv = _INV  # mi_hi, then the seeds on the MI grid [0, mi_hi]
+    mi_hi = inv[0]
+    if mi > mi_hi:
         # Deep saturation: bisect on the spline between sigma_hi and SIGMA_MAX.
         lo, hi = _SIGMA_HI, SIGMA_MAX
         for _ in range(60):
@@ -299,13 +284,13 @@ def jinv(mi):
         s = math.sqrt(mi / _SMALL_MI_COEFF)
     else:
         # Linear interpolation in the inverse table.
-        r = mi / _INV_MI_STEP
+        r = mi / (mi_hi / _N_INV)
         k = int(r)
         if k >= _N_INV:
-            s = _INV_SIGMA[_N_INV]
+            s = inv[_N_INV + 1]
         else:
-            a = _INV_SIGMA[k]
-            s = a + (r - k) * (_INV_SIGMA[k + 1] - a)
+            a = inv[k + 1]
+            s = a + (r - k) * (inv[k + 2] - a)
     # Safeguarded Newton on the spline.
     lo, hi = 0.0, SIGMA_MAX
     for _ in range(30):

@@ -30,7 +30,9 @@ def leave_one_out_boxplus(terms, needed=None, th=None):
     ``needed`` optionally restricts which output indices are materialized
     (the rest are None).  ``th`` optionally lists ``tanh(terms[i]/2)``
     already computed by the caller, with None where this function should
-    compute it; the function never writes into those arrays.
+    compute it; the function never writes into those arrays.  ``terms[i]``
+    is read only where ``th[i]`` is None, so a caller that gives the tanh
+    may pass None for the term.
     """
     q = len(terms)
     want = sorted(range(q) if needed is None else set(needed))

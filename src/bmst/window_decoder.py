@@ -54,10 +54,11 @@ class _ActiveRows:
     """Window-local arrays of the trials that are still iterating.
 
     The trial axis sits after the layer axes.  The terms that stay fixed for
-    the whole window are computed once, when it starts: ``channel[k]`` is
-    block ``position + k`` and ``channel_th[k]`` its ``tanh(x/2)``;
-    ``feedback[x, j]`` pairs decided layer ``x`` as parity node ``x + j``
-    sees it (already permuted by ``perms[j]``) with its ``tanh(x/2)``.
+    the whole window enter the parity nodes only through their
+    ``tanh(x/2)``, computed once, when the window starts: ``channel_th[k]``
+    is that of block ``position + k``, ``feedback[x, j]`` that of decided
+    layer ``x`` as parity node ``x + j`` sees it (already permuted by
+    ``perms[j]``).
 
     ``epm[w, i]``, shaped ``(trials, N)``, is the message from the equality
     node of layer ``position + w`` toward parity node ``position + w + i``;
@@ -69,9 +70,8 @@ class _ActiveRows:
     """
 
     rows: np.ndarray
-    channel: np.ndarray
     channel_th: np.ndarray
-    feedback: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    feedback: dict[tuple[int, int], np.ndarray]
     epm: np.ndarray
     ppm: np.ndarray
     old_epm: np.ndarray
@@ -82,10 +82,8 @@ class _ActiveRows:
         replaced on its own, so at most one array has an old and a new copy
         in memory at a time."""
         self.rows = self.rows[keep]
-        self.channel = self.channel[:, keep]
         self.channel_th = self.channel_th[:, keep]
-        self.feedback = {key: (llr[keep], th[keep])
-                         for key, (llr, th) in self.feedback.items()}
+        self.feedback = {key: th[keep] for key, th in self.feedback.items()}
         self.epm = self.epm[:, :, keep]
         self.old_epm = self.old_epm[:, :, keep]
         self.ppm = self.ppm[:, :, keep]
@@ -100,13 +98,14 @@ class _ActiveRows:
 def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                edges) -> None:
     """Update parity node of block s in the window of target layer t; write
-    its extrinsics toward the window's layers."""
-    terms = [act.channel[s - t]]
+    its extrinsics toward the window's layers.  A fixed term enters as its
+    tanh alone, with None for its LLR."""
+    terms = [None]
     th = [act.channel_th[s - t]]
     receivers = []
     for j, x in edges:
         if x < t:
-            term, h = act.feedback[x, j]
+            term, h = None, act.feedback[x, j]
         else:
             # layer s speaks after this node in a sweep, layers left of it
             # before
@@ -186,11 +185,10 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     for _, edges in plan.sweep:
         for j, x in edges:
             if x < t:
-                llr = decided[:, x, code.perms[j]]
-                feedback[x, j] = (llr, tanh_half(llr))
-    act = _ActiveRows(np.arange(trials), channel, tanh_half(channel),
-                      feedback, np.zeros(shape), np.zeros(shape),
-                      np.zeros(shape), np.zeros(shape))
+                feedback[x, j] = tanh_half(decided[:, x, code.perms[j]])
+    act = _ActiveRows(np.arange(trials), tanh_half(channel), feedback,
+                      np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                      np.zeros(shape))
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
     for _ in range(config.max_iters):
@@ -217,19 +215,17 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
                     config: DecoderConfig) -> np.ndarray:
     """Window-decode a full received sequence into L*K info decisions.
 
-    Accepts LLRs shaped ``(..., L+m, N)`` or flat ``((L+m)*N,)``.  Each
-    window is decoded independently given the channel LLRs and the decision
-    log; decided layers feed back their re-encoded codewords as saturated
-    LLRs to all later windows.  The lead axes are flattened into one trial
-    axis for decoding and restored on the result.
+    Takes LLRs shaped ``(..., L+m, N)``.  Each window is decoded
+    independently given the channel LLRs and the decision log; decided
+    layers feed back their re-encoded codewords as saturated LLRs to all
+    later windows.  The lead axes are flattened into one trial axis for
+    decoding and restored on the result.
     """
     L, m, N, K = code.coupling_len, code.memory, code.N, code.K
     llr = np.asarray(channel_llrs, dtype=float)
-    if llr.ndim == 1 and llr.size == (L + m) * N:
-        llr = llr.reshape(L + m, N)
     if llr.ndim < 2 or llr.shape[-2:] != (L + m, N):
-        raise ValueError(f"expected channel LLRs shaped (..., {L + m}, {N}) "
-                         f"or ({(L + m) * N},), got {llr.shape}")
+        raise ValueError(f"expected channel LLRs shaped (..., {L + m}, {N}), "
+                         f"got {llr.shape}")
     lead = llr.shape[:-2]
     llr = llr.reshape((-1,) + llr.shape[-2:])
     feedback = np.zeros((llr.shape[0], L, N))

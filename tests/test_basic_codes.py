@@ -256,7 +256,7 @@ class TestExitTransfer:
 
     @pytest.mark.parametrize("kind,n", [("rc", 3), ("rc", 5), ("spc", 4), ("spc", 6)])
     def test_monotone(self, kind, n):
-        code = cartesian(make_small_code(kind, n), 2)
+        code = make_small_code(kind, n)
         grid = np.linspace(0.0, 1.0, 201)
         vals = [exit_transfer_c(code, float(x)) for x in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

@@ -4,7 +4,8 @@
 +/-LLR_CLIP, +/-49.9 and plain-float terms, and the outputs of
 ``leave_one_out_boxplus`` and ``siso_decode_basic`` on them, all as
 ``float.hex`` strings.  Any change to either rule must reproduce every
-output, signed zeros included.
+output, signed zeros included, and so must the boxplus when each term
+comes as its tanh alone.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from bmst.basic_codes import cartesian, make_small_code, siso_decode_basic
-from bmst.llr import leave_one_out_boxplus
+from bmst.llr import leave_one_out_boxplus, tanh_half
 
 CASES = json.loads(
     (Path(__file__).parent / "golden" / "node_outputs.json").read_text())
@@ -39,18 +40,22 @@ def pinned(out):
     len(c["terms"]),
     "mixed" if any("float" in t for t in c["terms"]) else "arrays"))
 def test_leave_one_out_boxplus_bit_exact(case):
+    # the window decoder gives its fixed terms as their tanh alone, with
+    # None for the LLR: every term given that way must give the same bits
     terms = [value(t) for t in case["terms"]]
     q = len(terms)
-    for r in range(q + 1):
-        for needed in itertools.combinations(range(q), r):
-            outs = leave_one_out_boxplus(terms, needed=list(needed))
-            for i, out in enumerate(outs):
-                if i in needed:
-                    assert pinned(out) == case["outs"][i], (needed, i)
-                else:
-                    assert out is None
-    outs = leave_one_out_boxplus(terms)
-    assert [pinned(o) for o in outs] == case["outs"]
+    forms = [(terms, None), ([None] * q, [tanh_half(t) for t in terms])]
+    for args, th in forms:
+        for r in range(q + 1):
+            for needed in itertools.combinations(range(q), r):
+                outs = leave_one_out_boxplus(args, needed=list(needed), th=th)
+                for i, out in enumerate(outs):
+                    if i in needed:
+                        assert pinned(out) == case["outs"][i], (needed, i)
+                    else:
+                        assert out is None
+        outs = leave_one_out_boxplus(args, th=th)
+        assert [pinned(o) for o in outs] == case["outs"]
 
 
 @pytest.mark.parametrize("info_app", [False, True])

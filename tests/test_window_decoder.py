@@ -80,7 +80,7 @@ def eq_node(code, incoming, monkeypatch):
     shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
     ppm = np.stack(incoming).reshape(shape)
     epm = np.zeros(shape)
-    act = wd._ActiveRows(np.arange(1), None, None, None, epm, ppm, epm, ppm)
+    act = wd._ActiveRows(np.arange(1), None, None, epm, ppm, epm, ppm)
     seen = []
     siso = wd.siso_decode_basic
 
@@ -167,16 +167,6 @@ def test_decisions_deterministic():
     a = decode_sequence(code, llr, cfg)
     b = decode_sequence(code, llr, cfg)
     np.testing.assert_array_equal(a, b)
-
-
-def test_flat_input_accepted():
-    code = build(m=1, L=4)
-    rng = np.random.default_rng(2)
-    info = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
-    llr = received_llr(code, info, 20.0, seed=3)
-    cfg = DecoderConfig(delay=3, max_iters=10)
-    np.testing.assert_array_equal(decode_sequence(code, llr.ravel(), cfg),
-                                  decode_sequence(code, llr, cfg))
 
 
 def test_full_sequence_equals_window_composition():
@@ -286,8 +276,8 @@ def test_window_input_validation():
     cfg = DecoderConfig(delay=2, max_iters=5)
     with pytest.raises(ValueError):
         decode_sequence(code, np.zeros((3, code.N)), cfg)
-    with pytest.raises(ValueError):
-        decode_sequence(code, np.zeros(3 * code.N), cfg)
+    with pytest.raises(ValueError):  # the flat form is not taken
+        decode_sequence(code, np.zeros(5 * code.N), cfg)
     with pytest.raises(ValueError):
         DecoderConfig(delay=-1)
     with pytest.raises(ValueError):
