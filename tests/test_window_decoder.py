@@ -183,13 +183,17 @@ def test_full_sequence_equals_window_composition():
 # Every window's APP LLRs, as float.hex, of ten 4-trial batches at 2 dB:
 # SPC and RC, m = 2 and 3, every d < m.  Each holds windows whose last
 # layer lies in [L - m, L - 2]: a tail parity node would see a layer right
-# of such a window, so the window plan leaves it out.
+# of such a window, so the window plan leaves it out.  Three named cases,
+# one RC[2,1]^100 trial each at the reference point (m=1, L=10, d=3,
+# 5.5 dB, 50 sweeps), list in ``capped`` each window that ran to the cap
+# when the decoder had no cycle exit, with the period of the exact limit
+# cycle its messages had entered (null: none within the cap).
 WINDOW_APPS = json.loads(
     (Path(__file__).parent / "golden" / "window_apps.json").read_text())
 
 
-@pytest.mark.parametrize("case", WINDOW_APPS, ids=lambda c: (
-    f"{c['code']}-m{c['memory']}-d{c['delay']}"))
+@pytest.mark.parametrize("case", WINDOW_APPS, ids=lambda c: c.get(
+    "name", f"{c['code']}-m{c['memory']}-d{c['delay']}"))
 def test_window_apps_replay_bit_exactly(case):
     kind, n = case["code"].split(":")
     code = build(kind, int(n), B=case["cart"], m=case["memory"],
