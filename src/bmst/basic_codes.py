@@ -191,16 +191,18 @@ def _gauss_rule(x: np.ndarray, w: np.ndarray, points: int):
     rank, if lower) of the measure with weight ``w[j]`` at ``x[j]``: the
     Stieltjes procedure gives the Jacobi matrix, its eigenvalues are the
     nodes and the Christoffel numbers the weights (Golub and Welsch, Math.
-    Comp. 1969); a weight whose sum overflows is 0."""
+    Comp. 1969); a weight whose sum overflows is 0.  The inner products
+    are ``np.add.reduce`` sums, not ``np.dot``: BLAS sums in an order that
+    depends on its thread count, and so would the rule."""
     total = w.sum()
     points = min(points, len(np.unique(x[w > 0])))
     alpha, beta = np.empty(points), np.zeros(points)  # beta[0] is unused
     v_prev, v = np.zeros_like(x), np.sqrt(w / total)
     for j in range(points):
-        alpha[j] = np.dot(x * v, v)
+        alpha[j] = np.add.reduce(x * v * v)
         if j + 1 < points:
             u = (x - alpha[j]) * v - beta[j] * v_prev
-            beta[j + 1] = math.sqrt(np.dot(u, u))
+            beta[j + 1] = math.sqrt(np.add.reduce(u * u))
             v_prev, v = v, u / beta[j + 1]
     nodes = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[1:], -1))
     p_prev, p, norm = np.zeros(points), np.ones(points), np.ones(points)

@@ -261,6 +261,19 @@ def test_data_rows_match_golden(capsys, name):
     assert rows.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_spc_bound_does_not_depend_on_blas_threads(threads):
+    # np.dot sums in an order set by OpenBLAS's thread count; the SPC bound's
+    # Gauss rules must not go through it
+    src = str(Path(bmst.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "bmst", *GOLDEN_RUNS["bound_spc4.csv"].split()],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True, text=True, check=True)
+    assert data_rows(done.stdout).encode() == (
+        GOLDEN / "bound_spc4.csv").read_bytes()
+
+
 def count_chunks(monkeypatch, tmp_path):
     """Log each chunk a ber batch is split into, with the pid decoding it."""
     log = tmp_path / "chunks.txt"
