@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ebn0_to_sigma
 from .jfun import jfun, jinv, qfunc
-from .llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
+from .llr import clip_llr, leave_one_out_boxplus, tanh_half
 
 RC = "rc"
 SPC = "spc"
@@ -136,9 +136,10 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         else:
             cw_sum = cwb.sum(axis=-1)
         total = src + cw_sum  # K == B: one source bit per block
-        ext = np.clip(total[..., None] - cwb, -LLR_CLIP, LLR_CLIP)
+        ext = np.subtract(total[..., None], cwb)
+        clip_llr(ext, out=ext)
         if info_app:
-            app = np.clip(total, -LLR_CLIP, LLR_CLIP)[..., None]
+            app = clip_llr(total)[..., None]
     else:
         # One contiguous row per bit position of the small code, so the
         # tanh and every product run over contiguous memory.
@@ -151,7 +152,7 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         ext = np.stack(leave_one_out_boxplus(list(eff), th=th), axis=-1)
         if info_app:
             app = np.add(eff[:k].T, ext[:, :k])
-            np.clip(app, -LLR_CLIP, LLR_CLIP, out=app)
+            clip_llr(app, out=app)
     if info_app:
         app = app.reshape(lead + (code.K,))
     return ext.reshape(lead + (code.N,)), app

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .jfun import jfun
-from .llr import LLR_CLIP
+from .llr import LLR_CLIP, clip_llr
 
 #: Identifier of the noise-sampling scheme, recorded in run metadata.
 NOISE_ALGORITHM = "ziggurat/pcg64"
@@ -40,11 +40,14 @@ def transmit(bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.nda
 
 
 def llr_demap(y: np.ndarray, sigma: float) -> np.ndarray:
-    """Channel LLRs 2*y/sigma^2, clipped; sigma == 0 saturates by sign."""
+    """Channel LLRs 2*y/sigma^2, clipped; sigma == 0 saturates by sign.
+    The result is the one array this allocates."""
     y = np.asarray(y, dtype=float)
     if sigma == 0.0:
         return np.where(y >= 0.0, LLR_CLIP, -LLR_CLIP)
-    return np.clip(2.0 * y / (sigma * sigma), -LLR_CLIP, LLR_CLIP)
+    llr = np.multiply(y, 2.0)
+    llr /= sigma * sigma
+    return clip_llr(llr, out=llr)
 
 
 def channel_mi(ebn0_db: float, rate: float) -> float:

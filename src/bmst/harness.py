@@ -32,6 +32,10 @@ from .window_decoder import DecoderConfig, decode_sequence
 BATCH_CODEWORDS = 32
 #: Most points an SNR sweep (``ber``, ``bound``) may hold.
 MAX_SNR_POINTS = 10_000
+#: Largest |Eb/N0| (dB) an SNR sweep or threshold bracket may reach.  Far
+#: past it 10**(Eb/N0 / 10) leaves the float range: it overflows above
+#: about 3,082 dB and rounds to 0 below about -3,240 dB.
+MAX_ABS_SNR_DB = 400.0
 
 
 class SpecError(ValueError):
@@ -93,6 +97,9 @@ class ExperimentSpec:
         snr = (self.snr_lo, self.snr_hi, self.snr_step)
         if not all(map(math.isfinite, snr)):
             raise SpecError(f"snr bounds and step must be finite, got {snr}")
+        if max(abs(self.snr_lo), abs(self.snr_hi)) > MAX_ABS_SNR_DB:
+            raise SpecError(f"snr bounds must lie within +/-{MAX_ABS_SNR_DB} "
+                            f"dB, got {snr[:2]}")
         if self.snr_step <= 0 or self.snr_hi < self.snr_lo:
             raise SpecError("need snr_lo <= snr_hi and snr_step > 0")
         if self.command.startswith("threshold") and self.snr_hi <= self.snr_lo:
@@ -209,16 +216,18 @@ def _chunk_bit_errors(code, sigma: float, config: DecoderConfig, seed: int,
     """Draw, transmit and window-decode ``trials``; return their bit errors.
 
     Trial j draws its info bits and noise from the stream seeded by
-    ``(seed, point_index, j)``.
+    ``(seed, point_index, j)``; its received row is demapped at once, so
+    only the chunk's LLRs are kept.
     """
     info = np.empty((len(trials), code.info_bits), dtype=np.uint8)
-    y = np.empty((len(trials), code.coupling_len + code.memory, code.N))
+    llr = np.empty((len(trials), code.coupling_len + code.memory, code.N))
     for row, j in enumerate(trials):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, point_index, j))))
         info[row] = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
-        y[row] = transmit(encode_bmst(code, info[row]), sigma, rng)
-    dec = decode_sequence(code, llr_demap(y, sigma), config)
+        llr[row] = llr_demap(
+            transmit(encode_bmst(code, info[row]), sigma, rng), sigma)
+    dec = decode_sequence(code, llr, config)
     return int((dec != info).sum())
 
 

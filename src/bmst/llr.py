@@ -14,6 +14,13 @@ import numpy as np
 LLR_CLIP = 50.0
 
 
+def clip_llr(x, out=None):
+    """``np.clip(x, -LLR_CLIP, LLR_CLIP, out=out)`` for NaN-free ``x``, as
+    two ufunc calls: np.clip's Python wrapper costs more than both."""
+    out = np.maximum(x, -LLR_CLIP, out=out)
+    return np.minimum(out, LLR_CLIP, out=out)
+
+
 def tanh_half(x):
     """``tanh(x/2)``, the domain in which parity checks multiply; arrays
     come back as a new C-ordered array."""
@@ -70,4 +77,4 @@ def _from_product(p, owned):
         return np.clip(2.0 * np.arctanh(p), -LLR_CLIP, LLR_CLIP)
     r = np.arctanh(p, out=p if owned else None)
     np.multiply(r, 2.0, out=r)
-    return np.clip(r, -LLR_CLIP, LLR_CLIP, out=r)
+    return clip_llr(r, out=r)

@@ -18,9 +18,11 @@ layer.
 All arrays accept leading batch axes, so many independent noise
 realizations decode through the same vectorized operations.  Within a
 window each trial iterates until its own messages reach an exact fixed
-point (a sweep leaves every message unchanged) or ``max_iters`` sweeps have
-run; converged trials drop out of the arrays later sweeps work on.  A
-trial's decisions and its work thus do not depend on its batch-mates.
+point (a sweep leaves every message unchanged), until they reach the state
+that ``max_iters`` sweeps would leave them in, found by an exact limit
+cycle, or until ``max_iters`` sweeps have run; trials that are done drop
+out of the arrays later sweeps work on.  A trial's decisions and its work
+thus do not depend on its batch-mates.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ import numpy as np
 
 from .basic_codes import encode_basic, siso_decode_basic
 from .encoder import BmstCode, WindowPlan, window_plan
-from .llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
+from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus, tanh_half
+
+#: Sweeps between the message states a trial's later states are compared
+#: with; a limit cycle of at most this period is found.
+CHECKPOINT_SWEEPS = 8
 
 
 @dataclass
@@ -66,7 +72,10 @@ class _ActiveRows:
     (pre-permutation) domain.  Each direction has two buffers: a sweep
     writes every message of ``epm``/``ppm`` once and reads the ones it has
     not yet rewritten, the previous sweep's, from ``old_epm``/``old_ppm``.
-    ``rows`` maps each trial to its index in the flattened batch.
+    ``rows`` maps each trial to its index in the flattened batch, and
+    ``stop`` to the sweep after which it is done at the latest.  ``saved``
+    holds ``(epm, ppm)`` as they were after sweep ``saved_at``, or is None
+    before the first checkpoint.
     """
 
     rows: np.ndarray
@@ -76,18 +85,53 @@ class _ActiveRows:
     ppm: np.ndarray
     old_epm: np.ndarray
     old_ppm: np.ndarray
+    stop: np.ndarray
+    saved: tuple[np.ndarray, np.ndarray] | None
+    saved_at: int
 
     def subset(self, keep: np.ndarray) -> None:
         """Keep only the trials where ``keep`` is set.  Each array is
         replaced on its own, so at most one array has an old and a new copy
         in memory at a time."""
         self.rows = self.rows[keep]
+        self.stop = self.stop[keep]
         self.channel_th = self.channel_th[:, keep]
         self.feedback = {key: th[keep] for key, th in self.feedback.items()}
         self.epm = self.epm[:, :, keep]
         self.old_epm = self.old_epm[:, :, keep]
         self.ppm = self.ppm[:, :, keep]
         self.old_ppm = self.old_ppm[:, :, keep]
+        if self.saved is not None:
+            self.saved = tuple(msgs[:, :, keep] for msgs in self.saved)
+
+    def save(self, sweep: int) -> None:
+        """Take the checkpoint of the state after ``sweep``."""
+        self.saved = (self.epm.copy(), self.ppm.copy())
+        self.saved_at = sweep
+
+    def find_cycles(self, sweep: int, max_iters: int) -> None:
+        """Set ``stop`` of each trial whose state after ``sweep`` equals,
+        bit for bit, its state at the checkpoint.
+
+        A sweep is a function of the state the previous one left and of
+        the window's fixed terms, so such a trial repeats its states with
+        period p = ``sweep - saved_at``.  Its state after ``max_iters``
+        sweeps is then the one after ``sweep + (max_iters - sweep) % p``,
+        at most p - 1 sweeps on.  The comparison is of the bits, so +0.0
+        and -0.0 differ.  It reads the window's last layer first, whose
+        messages settle last, and the whole state only if some trial's
+        agree.
+        """
+        saved_epm, saved_ppm = self.saved
+        bits = np.int64
+        same = (self.epm[-1].view(bits) == saved_epm[-1].view(bits)).all(
+            axis=(0, 2))
+        if not same.any():
+            return
+        for now, then in ((self.epm, saved_epm), (self.ppm, saved_ppm)):
+            same &= (now.view(bits) == then.view(bits)).all(axis=(0, 1, 3))
+        period = sweep - self.saved_at
+        self.stop[same] = sweep + (max_iters - sweep) % period
 
     def swap(self) -> None:
         """Make the newest messages the old ones before a sweep."""
@@ -99,7 +143,11 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                edges) -> None:
     """Update parity node of block s in the window of target layer t; write
     its extrinsics toward the window's layers.  A fixed term enters as its
-    tanh alone, with None for its LLR."""
+    tanh alone, with None for its LLR.  A gathered term becomes its own
+    tanh in place and stands as both (``leave_one_out_boxplus`` reads a
+    term only where its tanh is None), unless it is the lone receiver's,
+    which is never read."""
+    lone = sum(x >= t for _, x in edges) == 1
     terms = [None]
     th = [act.channel_th[s - t]]
     receivers = []
@@ -110,7 +158,12 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
             # layer s speaks after this node in a sweep, layers left of it
             # before
             msgs = act.old_epm if j == 0 else act.epm
-            term, h = msgs[x - t, j][..., code.perms[j]], None
+            term = h = msgs[x - t, j].take(code.perms[j], axis=-1)
+            if lone:
+                h = None
+            else:  # tanh_half, in place
+                np.multiply(term, 0.5, out=term)
+                np.tanh(term, out=term)
             receivers.append((len(terms), j, x - t))
         terms.append(term)
         th.append(h)
@@ -118,8 +171,8 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                                  th=th)
     for i, j, w in receivers:
         # the indices are valid; mode "clip" only spares take a buffer copy
-        np.take(outs[i], code.perms_inv[j], axis=-1, out=act.ppm[w, j],
-                mode="clip")
+        outs[i].take(code.perms_inv[j], axis=-1, out=act.ppm[w, j],
+                     mode="clip")
 
 
 def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
@@ -131,13 +184,13 @@ def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
     total = 0.0 + inc[0]
     for msg in inc[1:]:
         total += msg
-    to_c = np.clip(total, -LLR_CLIP, LLR_CLIP)
-    from_c, _ = siso_decode_basic(code.basic, to_c, info_app=False)
+    from_c, _ = siso_decode_basic(code.basic, clip_llr(total),
+                                  info_app=False)
+    out = act.epm[w]
     for i in range(m + 1):
-        out = act.epm[w, i]
-        np.subtract(total, inc[i], out=out)
-        out += from_c
-        np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
+        np.subtract(total, inc[i], out=out[i])
+    out += from_c
+    clip_llr(out, out=out)
 
 
 def _iterate(code: BmstCode, plan: WindowPlan, act: _ActiveRows) -> None:
@@ -167,8 +220,16 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     keeps the previous sweep's messages.  Each trial stops on its own: once
     a sweep leaves every one of its messages unchanged (the two buffers
     agree), it sits at an exact fixed point and further sweeps would be
-    no-ops, so it leaves the active set and later sweeps skip it.  Otherwise
-    it stops after ``max_iters`` sweeps.  A trial's decisions and its work
+    no-ops, so it leaves the active set and later sweeps skip it.  Every
+    ``CHECKPOINT_SWEEPS`` sweeps the state of both directions is saved, and
+    after each sweep each trial's state is compared, bit for bit, with the
+    saved one.  A match at sweep i against the state after sweep c puts the
+    trial in an exact limit cycle of period p = i - c, so its state after
+    ``max_iters`` sweeps is its state after i + (max_iters - i) mod p: it
+    runs those at most p - 1 sweeps more and leaves the active set as a
+    converged trial does.  Otherwise it stops after ``max_iters`` sweeps.
+    The decision reads the state each trial leaves with, which is the one
+    ``max_iters`` sweeps would leave.  A trial's decisions and its work
     therefore do not depend on its batch-mates.
     """
     m, N = code.memory, code.N
@@ -188,24 +249,27 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
                 feedback[x, j] = tanh_half(decided[:, x, code.perms[j]])
     act = _ActiveRows(np.arange(trials), tanh_half(channel), feedback,
                       np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                      np.zeros(shape))
+                      np.zeros(shape), np.full(trials, config.max_iters),
+                      None, 0)
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
-    for _ in range(config.max_iters):
+    for sweep in range(1, config.max_iters + 1):
         act.swap()
         _iterate(code, plan, act)
-        moving = ~((act.epm == act.old_epm).all(axis=(0, 1, 3))
-                   & (act.ppm == act.old_ppm).all(axis=(0, 1, 3)))
-        if not moving.all():
-            done = ~moving
+        done = ((act.epm == act.old_epm).all(axis=(0, 1, 3))
+                & (act.ppm == act.old_ppm).all(axis=(0, 1, 3)))
+        if act.saved is not None:
+            act.find_cycles(sweep, config.max_iters)
+        done |= act.stop == sweep
+        if done.any():
             target[:, act.rows[done]] = act.ppm[0][:, done]
-            act.subset(moving)
+            act.subset(~done)
             if not act.rows.size:
                 break
-    target[:, act.rows] = act.ppm[0]
+        if sweep % CHECKPOINT_SWEEPS == 0:
+            act.save(sweep)
     total = target.sum(axis=0)
-    _, info_app = siso_decode_basic(
-        code.basic, np.clip(total, -LLR_CLIP, LLR_CLIP))
+    _, info_app = siso_decode_basic(code.basic, clip_llr(total, out=total))
     info_app = info_app.reshape(lead + (code.K,))
     bits = (info_app < 0).astype(np.uint8)
     return bits, info_app
@@ -228,12 +292,14 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
                          f"got {llr.shape}")
     lead = llr.shape[:-2]
     llr = llr.reshape((-1,) + llr.shape[-2:])
-    feedback = np.zeros((llr.shape[0], L, N))
+    # int8 holds +/-LLR_CLIP exactly, and a window reads only its tanh,
+    # which is exactly +/-1.0.
+    feedback = np.zeros((llr.shape[0], L, N), dtype=np.int8)
     decisions = np.zeros((llr.shape[0], L, K), dtype=np.uint8)
     for t in range(L):
         plan = window_plan(L, m, config.delay, t)
         bits, _ = decode_window(code, plan, config, llr, feedback)
         decisions[:, t] = bits
-        feedback[:, t] = LLR_CLIP * (
-            1.0 - 2.0 * encode_basic(code.basic, bits))
+        feedback[:, t] = np.where(encode_basic(code.basic, bits), -LLR_CLIP,
+                                  LLR_CLIP)
     return decisions.reshape(lead + (L * K,))

@@ -185,6 +185,23 @@ def test_non_finite_snr_is_an_invalid_spec(snr):
         spec_from_args(["ber", "--snr=" + snr]).validate()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--snr=3000:3100:100"],   # 10**(snr/10) overflows
+    ["ber", "--snr=-3300:-3300:1", "--length", "2", "--cart", "1",
+     "--max-bits", "1"],                # ... or rounds to 0
+    ["threshold-vs-l", "--snr=-5:3100:50", "--length", "4", "--memory", "1"],
+    ["bound", "--snr=400.5:401:1"],
+    ["ber", "--snr=-401:-400:1"],
+])
+def test_snr_beyond_the_bound_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: invalid spec:")
+
+
+def test_snr_at_the_bound_is_valid():
+    spec_from_args(["bound", "--snr=-400:400:800"]).validate()
+
+
 def test_nan_snr_exit_2(capsys):
     assert main(["threshold-vs-l", "--snr", "nan:14:0.01",
                  "--length", "10"]) == 2

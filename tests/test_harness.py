@@ -66,6 +66,7 @@ def test_spec_validation():
     (1.0, 1.0, 1e-300),
     (1.0, 2.0, 1e-9),     # 10**9 points
     (0.0, 10_000.0, 1.0),  # one point too many
+    (0.0, 10_000 / 32, 1 / 32),  # one point too many, within the SNR bound
 ])
 def test_sweep_of_too_many_points_is_an_invalid_spec(lo, hi, step):
     # validate() alone: building such a sweep would not end, or would fill
@@ -77,7 +78,7 @@ def test_sweep_of_too_many_points_is_an_invalid_spec(lo, hi, step):
 
 
 def test_sweep_limits():
-    spec = tiny_ber_spec(snr_lo=0.0, snr_hi=9_999.0, snr_step=1.0)
+    spec = tiny_ber_spec(snr_lo=0.0, snr_hi=9_999 / 32, snr_step=1 / 32)
     spec.validate()
     assert len(spec.snr_points()) == harness.MAX_SNR_POINTS
     # a threshold search's step is its resolution, not a sweep

@@ -80,7 +80,8 @@ def eq_node(code, incoming, monkeypatch):
     shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
     ppm = np.stack(incoming).reshape(shape)
     epm = np.zeros(shape)
-    act = wd._ActiveRows(np.arange(1), None, None, epm, ppm, epm, ppm)
+    act = wd._ActiveRows(np.arange(1), None, None, epm, ppm, epm, ppm,
+                         None, None, 0)
     seen = []
     siso = wd.siso_decode_basic
 
@@ -195,6 +196,14 @@ WINDOW_APPS = json.loads(
 @pytest.mark.parametrize("case", WINDOW_APPS, ids=lambda c: c.get(
     "name", f"{c['code']}-m{c['memory']}-d{c['delay']}"))
 def test_window_apps_replay_bit_exactly(case):
+    code, cfg, llr = window_apps_inputs(case)
+    got = [[float(v).hex() for v in app.ravel()]
+           for _, app in windows_one_by_one(code, cfg, llr)]
+    assert got == case["apps"]
+
+
+def window_apps_inputs(case):
+    """The code, decoder config and channel LLRs of a window-APP case."""
     kind, n = case["code"].split(":")
     code = build(kind, int(n), B=case["cart"], m=case["memory"],
                  L=case["length"], seed=case["seed"])
@@ -203,9 +212,35 @@ def test_window_apps_replay_bit_exactly(case):
                         dtype=np.uint8)
     llr = received_llr(code, info, case["ebn0_db"], seed=case["noise_seed"])
     cfg = DecoderConfig(delay=case["delay"], max_iters=case["max_iters"])
-    got = [[float(v).hex() for v in app.ravel()]
-           for _, app in windows_one_by_one(code, cfg, llr)]
-    assert got == case["apps"]
+    return code, cfg, llr
+
+
+@pytest.mark.parametrize("case", [c for c in WINDOW_APPS if "capped" in c],
+                         ids=lambda c: c["name"])
+def test_capped_windows_leave_at_their_limit_cycle(case, monkeypatch):
+    # A window whose messages enter an exact limit cycle leaves before the
+    # cap with the APPs the cap would give (the replay test checks those);
+    # one without a cycle still runs every sweep.
+    import bmst.window_decoder as wd
+
+    code, cfg, llr = window_apps_inputs(case)
+    calls = [0]  # SISO calls per window
+    siso = wd.siso_decode_basic
+
+    def counting_siso(*args, **kwargs):
+        calls[-1] += 1
+        return siso(*args, **kwargs)
+
+    monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
+    for _ in windows_one_by_one(code, cfg, llr):
+        calls.append(0)
+    for window, period in case["capped"]:
+        plan = window_plan(code.coupling_len, code.memory, cfg.delay, window)
+        full = 1 + cfg.max_iters * (plan.layer_end - window + 1)
+        if period is None:
+            assert calls[window] == full
+        else:
+            assert calls[window] < full
 
 
 def test_batched_trials_match_individual():
