@@ -188,7 +188,10 @@ def test_full_sequence_equals_window_composition():
 # one RC[2,1]^100 trial each at the reference point (m=1, L=10, d=3,
 # 5.5 dB, 50 sweeps), list in ``capped`` each window that ran to the cap
 # when the decoder had no cycle exit, with the period of the exact limit
-# cycle its messages had entered (null: none within the cap).
+# cycle its messages had entered (null: none within the cap).  Two more,
+# four SPC[4,3]^8 trials each in the error-propagation regime (m=2, L=10,
+# d=6, 2.5 dB, 50 sweeps), run every window but the last ones to the cap
+# with no cycle in any trial.
 WINDOW_APPS = json.loads(
     (Path(__file__).parent / "golden" / "window_apps.json").read_text())
 
