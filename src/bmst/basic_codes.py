@@ -109,7 +109,10 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
     LLRs (defaults to all-zero, the equiprobable source), both finite and
     within ``+/- LLR_CLIP``.  Returns the codeword-edge extrinsic LLRs and
     the info-bit APP LLRs, or None in place of the latter when ``info_app``
-    is false.  Stacked inputs are decoded along the last axis.
+    is false.  Stacked inputs are decoded along the last axis.  An SPC
+    check with saturated inputs reaches atanh(+/-1) (see
+    :func:`bmst.llr.leave_one_out_boxplus`), which the caller's
+    ``np.errstate`` decides how to report.
     """
     cw = np.asarray(cw_apriori, dtype=float)
     if cw.shape[-1] != code.N:
@@ -141,17 +144,20 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         if info_app:
             app = clip_llr(total)[..., None]
     else:
-        # One contiguous row per bit position of the small code, so the
-        # tanh and every product run over contiguous memory.
+        # One row per block; the rows' k info bits take their source LLRs
+        # and the parity bit is taken as is.  The n positions enter the
+        # leave-one-out combine as the columns, and the extrinsics are
+        # written into the columns of a block of the same layout.
         rows = cw.reshape(-1, n)
-        eff = np.empty((n, rows.shape[0]))
-        srcb = src if src_apriori is None else src.reshape(-1, k).T
-        np.add(rows[:, :k].T, srcb, out=eff[:k])
-        eff[k:] = rows[:, k:].T
-        th = list(tanh_half(eff))
-        ext = np.stack(leave_one_out_boxplus(list(eff), th=th), axis=-1)
+        eff = rows + 0.0
+        eff[:, k:] = rows[:, k:]
+        if src_apriori is not None:
+            np.add(rows[:, :k], src.reshape(-1, k), out=eff[:, :k])
+        ext = np.empty_like(eff)
+        leave_one_out_boxplus(list(eff.T), th=list(tanh_half(eff).T),
+                              out=ext.T)
         if info_app:
-            app = np.add(eff[:k].T, ext[:, :k])
+            app = np.add(eff[:, :k], ext[:, :k])
             clip_llr(app, out=app)
     if info_app:
         app = app.reshape(lead + (code.K,))

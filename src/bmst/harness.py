@@ -36,6 +36,11 @@ MAX_SNR_POINTS = 10_000
 #: past it 10**(Eb/N0 / 10) leaves the float range: it overflows above
 #: about 3,082 dB and rounds to 0 below about -3,240 dB.
 MAX_ABS_SNR_DB = 400.0
+#: Most values one ``ber`` or ``encode`` frame may hold: its (L + m)*n*B
+#: code bits and, for ``ber``, each buffer of a window's messages, w*(m +
+#: 1)*n*B values for a window of w = min(d + 1, L) layers.  At the bound a
+#: 32-frame batch's channel LLRs take 1 GiB.
+MAX_FRAME_VALUES = 2 ** 22
 
 
 class SpecError(ValueError):
@@ -90,6 +95,15 @@ class ExperimentSpec:
             raise SpecError(f"lengths must be positive, got {self.lengths}")
         if any(d < 0 for d in self.delays):
             raise SpecError(f"delays must be non-negative, got {self.delays}")
+        if self.command in ("ber", "encode"):
+            m, length, N = self.memory, self.length, self.n * self.cart
+            size = (length + m) * N
+            if self.command == "ber":
+                width = min(self.delay_for(m) + 1, length)
+                size = max(size, width * (m + 1) * N)
+            if size > MAX_FRAME_VALUES:
+                raise SpecError(f"a {self.command} frame may hold at most "
+                                f"{MAX_FRAME_VALUES} values, got {size}")
         if self.max_iters < 1:
             raise SpecError(f"max_iters must be positive, got {self.max_iters}")
         if self.seed < 0:

@@ -28,7 +28,7 @@ def tanh_half(x):
     return np.tanh(th, out=th) if isinstance(th, np.ndarray) else np.tanh(th)
 
 
-def leave_one_out_boxplus(terms, needed=None, th=None):
+def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
     """For q input arrays return q outputs, the parity-check combine of all
     other inputs: out[i] = 2*atanh(prod over j != i of tanh(terms[j]/2)).
 
@@ -40,6 +40,16 @@ def leave_one_out_boxplus(terms, needed=None, th=None):
     compute it; the function never writes into those arrays.  ``terms[i]``
     is read only where ``th[i]`` is None, so a caller that gives the tanh
     may pass None for the term.
+
+    The wanted outputs are the consecutive rows, in index order, of one
+    block: ``out`` if the caller gives it, shaped ``(len(wanted),) +
+    shape``, else a new one shaped like the array terms (which share one
+    shape), where an output whose other terms are all scalars comes back
+    as a scalar.  Each product is written into its row, and the atanh,
+    the doubling and the clip run once over the whole block.  A product
+    of +/-1 has atanh +/-inf, which the clip saturates; numpy reports it
+    as a division by zero unless the caller's ``np.errstate`` ignores
+    that.
     """
     q = len(terms)
     want = sorted(range(q) if needed is None else set(needed))
@@ -50,31 +60,38 @@ def leave_one_out_boxplus(terms, needed=None, th=None):
     lone = want[0] if len(want) == 1 else None
     th = [h if h is not None or i == lone else tanh_half(t)
           for i, (t, h) in enumerate(zip(terms, th or [None] * q))]
+    scalar = None  # the output whose other terms are all scalars, if any
+    if out is None:
+        sized = [i for i, h in enumerate(th)
+                 if i != lone and isinstance(h, np.ndarray)]
+        out = np.empty((len(want),) + (th[sized[0]].shape if sized else ()))
+        if len(sized) == 1:
+            scalar = sized[0]
+    for r, i in enumerate(want):
+        outs[i] = out[r, ...]
     # prefix[i] = th[0] * ... * th[i-1] and suffix = th[q-1] * ... * th[i+1],
     # each multiplied in that order; None is the empty product, so no array
-    # is ever multiplied by 1.0.  A product of two or more factors is a new
-    # array that the output may reuse.
+    # is ever multiplied by 1.0.  The last prefix and the last suffix, each
+    # the whole product of an end output, go straight into its row.
     prefix = [None]
     for i in range(want[-1]):
-        prefix.append(th[i] if i == 0 else prefix[-1] * th[i])
+        prefix.append(th[i] if i == 0 else np.multiply(
+            prefix[-1], th[i], out=outs[q - 1] if i == q - 2 else None))
     suffix = None
-    with np.errstate(divide="ignore"):
-        for i in range(q - 1, want[0] - 1, -1):
-            if i in want:
-                if prefix[i] is not None and suffix is not None:
-                    outs[i] = _from_product(prefix[i] * suffix, True)
-                else:
-                    one = suffix if prefix[i] is None else prefix[i]
-                    outs[i] = _from_product(1.0 if one is None else one, q > 2)
-            if i > want[0]:
-                suffix = th[i] if suffix is None else suffix * th[i]
+    for i in range(q - 1, want[0] - 1, -1):
+        row = outs[i]
+        if row is not None and row is not prefix[i] and row is not suffix:
+            if prefix[i] is not None and suffix is not None:
+                np.multiply(prefix[i], suffix, out=row)
+            else:
+                one = suffix if prefix[i] is None else prefix[i]
+                row[...] = 1.0 if one is None else one
+        if i > want[0]:
+            suffix = th[i] if suffix is None else np.multiply(
+                suffix, th[i], out=outs[0] if i == 1 else None)
+    np.arctanh(out, out=out)
+    np.multiply(out, 2.0, out=out)
+    clip_llr(out, out=out)
+    if scalar is not None and outs[scalar] is not None:
+        outs[scalar] = outs[scalar].flat[0]
     return outs
-
-
-def _from_product(p, owned):
-    """``clip(2*atanh(p))``; written into ``p`` itself when ``owned``."""
-    if not isinstance(p, np.ndarray):
-        return np.clip(2.0 * np.arctanh(p), -LLR_CLIP, LLR_CLIP)
-    r = np.arctanh(p, out=p if owned else None)
-    np.multiply(r, 2.0, out=r)
-    return clip_llr(r, out=r)

@@ -118,18 +118,11 @@ class _ActiveRows:
         period p = ``sweep - saved_at``.  Its state after ``max_iters``
         sweeps is then the one after ``sweep + (max_iters - sweep) % p``,
         at most p - 1 sweeps on.  The comparison is of the bits, so +0.0
-        and -0.0 differ.  It reads the window's last layer first, whose
-        messages settle last, and the whole state only if some trial's
-        agree.
+        and -0.0 differ.
         """
-        saved_epm, saved_ppm = self.saved
         bits = np.int64
-        same = (self.epm[-1].view(bits) == saved_epm[-1].view(bits)).all(
-            axis=(0, 2))
-        if not same.any():
-            return
-        for now, then in ((self.epm, saved_epm), (self.ppm, saved_ppm)):
-            same &= (now.view(bits) == then.view(bits)).all(axis=(0, 1, 3))
+        same = _agree([msgs.view(bits) for msgs in (self.epm, self.ppm)],
+                      [msgs.view(bits) for msgs in self.saved])
         period = sweep - self.saved_at
         self.stop[same] = sweep + (max_iters - sweep) % period
 
@@ -139,15 +132,40 @@ class _ActiveRows:
         self.ppm, self.old_ppm = self.old_ppm, self.ppm
 
 
+def _agree(now, then) -> np.ndarray:
+    """Per trial, whether two message states, each an ``(epm, ppm)`` pair,
+    are equal element by element.  The window's last layer, whose messages
+    settle last, is compared first, and the whole state only if some
+    trial's last layer agrees."""
+    same = (now[0][-1] == then[0][-1]).all(axis=(0, 2))
+    if same.any():
+        for a, b in zip(now, then):
+            same &= (a == b).all(axis=(0, 1, 3))
+    return same
+
+
 def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                edges) -> None:
     """Update parity node of block s in the window of target layer t; write
     its extrinsics toward the window's layers.  A fixed term enters as its
-    tanh alone, with None for its LLR.  A gathered term becomes its own
-    tanh in place and stands as both (``leave_one_out_boxplus`` reads a
-    term only where its tanh is None), unless it is the lone receiver's,
-    which is never read."""
-    lone = sum(x >= t for _, x in edges) == 1
+    tanh alone, with None for its LLR.  The terms of the window's layers
+    are gathered into the rows of one block, which becomes their tanh in
+    place, and each row stands as both (``leave_one_out_boxplus`` reads a
+    term only where its tanh is None); a lone receiver's term is never
+    read, so it is not gathered."""
+    live = [(j, x - t) for j, x in edges if x >= t]
+    gathered = iter([None])
+    if len(live) > 1:
+        block = np.empty((len(live),) + act.channel_th.shape[1:])
+        for (j, w), row in zip(live, block):
+            # layer s speaks after this node in a sweep, layers left of it
+            # before; the indices are valid, and mode "clip" only spares
+            # take a buffer copy
+            msgs = act.old_epm if j == 0 else act.epm
+            msgs[w, j].take(code.perms[j], axis=-1, out=row, mode="clip")
+        np.multiply(block, 0.5, out=block)
+        np.tanh(block, out=block)
+        gathered = iter(block)
     terms = [None]
     th = [act.channel_th[s - t]]
     receivers = []
@@ -155,40 +173,30 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
         if x < t:
             term, h = None, act.feedback[x, j]
         else:
-            # layer s speaks after this node in a sweep, layers left of it
-            # before
-            msgs = act.old_epm if j == 0 else act.epm
-            term = h = msgs[x - t, j].take(code.perms[j], axis=-1)
-            if lone:
-                h = None
-            else:  # tanh_half, in place
-                np.multiply(term, 0.5, out=term)
-                np.tanh(term, out=term)
+            term = h = next(gathered)
             receivers.append((len(terms), j, x - t))
         terms.append(term)
         th.append(h)
     outs = leave_one_out_boxplus(terms, needed=[i for i, _, _ in receivers],
                                  th=th)
     for i, j, w in receivers:
-        # the indices are valid; mode "clip" only spares take a buffer copy
         outs[i].take(code.perms_inv[j], axis=-1, out=act.ppm[w, j],
                      mode="clip")
 
 
 def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
     """Equality and code-constraint updates of the window's layer w."""
-    m = code.memory
     # Parity node of layer w has just spoken; the ones after it speak later.
-    inc = [act.ppm[w, 0]] + [act.old_ppm[w, i] for i in range(1, m + 1)]
+    now, later = act.ppm[w, 0], act.old_ppm[w, 1:]
     # numpy sums over a leading axis edge by edge from +0.0; so does this.
-    total = 0.0 + inc[0]
-    for msg in inc[1:]:
+    total = 0.0 + now
+    for msg in later:
         total += msg
     from_c, _ = siso_decode_basic(code.basic, clip_llr(total),
                                   info_app=False)
     out = act.epm[w]
-    for i in range(m + 1):
-        np.subtract(total, inc[i], out=out[i])
+    np.subtract(total, now, out=out[0])
+    np.subtract(total, later, out=out[1:])
     out += from_c
     clip_llr(out, out=out)
 
@@ -253,23 +261,24 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
                       None, 0)
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
-    for sweep in range(1, config.max_iters + 1):
-        act.swap()
-        _iterate(code, plan, act)
-        done = ((act.epm == act.old_epm).all(axis=(0, 1, 3))
-                & (act.ppm == act.old_ppm).all(axis=(0, 1, 3)))
-        if act.saved is not None:
-            act.find_cycles(sweep, config.max_iters)
-        done |= act.stop == sweep
-        if done.any():
-            target[:, act.rows[done]] = act.ppm[0][:, done]
-            act.subset(~done)
-            if not act.rows.size:
-                break
-        if sweep % CHECKPOINT_SWEEPS == 0:
-            act.save(sweep)
-    total = target.sum(axis=0)
-    _, info_app = siso_decode_basic(code.basic, clip_llr(total, out=total))
+    with np.errstate(divide="ignore"):  # atanh(+/-1), saturated by the clip
+        for sweep in range(1, config.max_iters + 1):
+            act.swap()
+            _iterate(code, plan, act)
+            done = _agree((act.epm, act.ppm), (act.old_epm, act.old_ppm))
+            if act.saved is not None:
+                act.find_cycles(sweep, config.max_iters)
+            done |= act.stop == sweep
+            if done.any():
+                target[:, act.rows[done]] = act.ppm[0][:, done]
+                act.subset(~done)
+                if not act.rows.size:
+                    break
+            if sweep % CHECKPOINT_SWEEPS == 0:
+                act.save(sweep)
+        total = target.sum(axis=0)
+        _, info_app = siso_decode_basic(code.basic,
+                                        clip_llr(total, out=total))
     info_app = info_app.reshape(lead + (code.K,))
     bits = (info_app < 0).astype(np.uint8)
     return bits, info_app

@@ -1,3 +1,4 @@
+import json
 import os
 import shlex
 import subprocess
@@ -276,6 +277,18 @@ def test_data_rows_match_golden(capsys, name):
     assert main(GOLDEN_RUNS[name].split()) == 0
     rows = data_rows(capsys.readouterr().out)
     assert rows.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_and_benchmark_runs_are_valid_specs():
+    # with the README's examples (checked above) these are the largest runs
+    # on record; the frame-size bound (harness.MAX_FRAME_VALUES) takes them
+    workloads = json.loads((Path(__file__).parents[1] / "bench" /
+                            "workloads.json").read_text())["workloads"]
+    runs = [text.split() for text in GOLDEN_RUNS.values()]
+    runs += [w["argv"] for w in workloads.values() if "argv" in w]
+    assert {argv[0] for argv in runs} >= {"ber", "encode"}
+    for argv in runs:
+        spec_from_args(argv).validate()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -77,6 +77,38 @@ def test_sweep_of_too_many_points_is_an_invalid_spec(lo, hi, step):
                           snr_step=step).validate()
 
 
+@pytest.mark.parametrize("command", ["ber", "encode"])
+def test_frame_of_too_many_values_is_an_invalid_spec(command):
+    # validate() alone: a run would try to allocate the frame.  Two code
+    # bits per block; (L + m)*n*B sits at the bound, then one block past it.
+    at = dict(command=command, cart=2 ** 20, memories=(0,), lengths=(2,),
+              delays=(0,))
+    tiny_ber_spec(**at).validate()
+    with pytest.raises(SpecError):
+        tiny_ber_spec(**dict(at, cart=2 ** 20 + 1)).validate()
+    for huge in (dict(cart=10 ** 9), dict(lengths=(10 ** 9,)),
+                 dict(memories=(10 ** 9,), delays=(0,))):
+        with pytest.raises(SpecError):
+            tiny_ber_spec(**dict(at, **huge)).validate()
+    # the largest decoder runs on record: RC[2,1]^1000, L = 100, m = 3
+    tiny_ber_spec(command=command, cart=1000, memories=(3,), lengths=(100,),
+                  delays=(9,)).validate()
+
+
+def test_window_of_too_many_values_is_an_invalid_ber_spec():
+    # m = 3 and d = 9 on L = 4: each window buffer holds min(d + 1, L)*(m +
+    # 1) = 16 blocks, more than the frame's L + m = 7
+    at = dict(cart=2 ** 17, memories=(3,), lengths=(4,), delays=(9,))
+    tiny_ber_spec(**at).validate()
+    with pytest.raises(SpecError):
+        tiny_ber_spec(**dict(at, cart=2 ** 17 + 1)).validate()
+    tiny_ber_spec(**dict(at, command="encode", cart=2 ** 17 + 1)).validate()
+    # the commands that build no frame take any size
+    for command in ("bound", "threshold-vs-l"):
+        tiny_ber_spec(command=command, cart=10 ** 9, lengths=(10 ** 9,),
+                      delays=()).validate()
+
+
 def test_sweep_limits():
     spec = tiny_ber_spec(snr_lo=0.0, snr_hi=9_999 / 32, snr_step=1 / 32)
     spec.validate()

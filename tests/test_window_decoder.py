@@ -8,7 +8,7 @@ import pytest
 from bmst.basic_codes import ber_basic, cartesian, encode_basic, make_small_code
 from bmst.channel import ebn0_to_sigma, llr_demap, transmit
 from bmst.encoder import build_bmst, rate_bmst, window_plan
-from bmst.llr import leave_one_out_boxplus
+from bmst.llr import LLR_CLIP, leave_one_out_boxplus
 from bmst.window_decoder import DecoderConfig, decode_sequence, decode_window
 
 
@@ -63,7 +63,8 @@ class TestNodePlus:
 
     def test_saturated_siblings_reveal_channel(self):
         ch = np.array([0.25, -7.0])
-        outs = plus_node([np.full(2, 50.0), np.full(2, 50.0)], ch)
+        with np.errstate(divide="ignore"):  # the saturated pair's atanh(1)
+            outs = plus_node([np.full(2, 50.0), np.full(2, 50.0)], ch)
         for out in outs:
             np.testing.assert_allclose(out, ch, atol=1e-12)
 
@@ -134,6 +135,39 @@ class TestNoiseless:
         llr = np.where(llr >= 0, 50.0, -50.0)  # force exact saturation
         cfg = DecoderConfig(delay=3 * m, max_iters=8)
         np.testing.assert_array_equal(decode_sequence(code, llr, cfg), info)
+
+    @pytest.mark.parametrize("kind,n", [("rc", 2), ("spc", 4)])
+    def test_saturated_llrs_stay_within_the_windows_errstate(self, kind, n,
+                                                              monkeypatch):
+        # LLRs at the clip drive parity products to exactly +-1, whose atanh
+        # is +-inf before the clip saturates it.  decode_window ignores that
+        # division by zero once per window, around every node call; under
+        # an outer errstate that raises, any node call outside that scope
+        # would raise FloatingPointError.
+        import bmst.window_decoder as wd
+
+        code = build(kind, n, B=3, m=2, L=8, seed=5)
+        rng = np.random.default_rng(4)
+        info = rng.integers(0, 2, code.info_bits, dtype=np.uint8)
+        llr = received_llr(code, info, 30.0, seed=3)
+        llr = np.where(llr >= 0, LLR_CLIP, -LLR_CLIP)
+        modes, atanh_of_one = set(), []
+
+        def spy(fn):
+            def node(*args, **kwargs):
+                modes.add(np.geterr()["divide"])
+                with np.errstate(divide="call",
+                                 call=lambda *_: atanh_of_one.append(1)):
+                    return fn(*args, **kwargs)
+            return node
+
+        for name in ("leave_one_out_boxplus", "siso_decode_basic"):
+            monkeypatch.setattr(wd, name, spy(getattr(wd, name)))
+        cfg = DecoderConfig(delay=4, max_iters=8)
+        with np.errstate(all="raise"):
+            got = decode_sequence(code, llr, cfg)
+        np.testing.assert_array_equal(got, info)
+        assert modes == {"ignore"} and atanh_of_one
 
     def test_zero_delay_noiseless(self):
         code = build(m=1, L=5)
