@@ -144,10 +144,10 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
         if info_app:
             app = clip_llr(total)[..., None]
     else:
-        # One row per block; the rows' k info bits take their source LLRs
-        # and the parity bit is taken as is.  The n positions enter the
-        # leave-one-out combine as the columns, and the extrinsics are
-        # written into the columns of a block of the same layout.
+        # One row per block: its k info bits take their source LLRs (rows +
+        # 0.0 adds the absent one) and its parity bit is taken as is.  The
+        # n bit positions, the columns, are the combine's terms, and its
+        # outputs fill the columns of ``ext``.
         rows = cw.reshape(-1, n)
         eff = rows + 0.0
         eff[:, k:] = rows[:, k:]

@@ -42,8 +42,8 @@ def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
     may pass None for the term.
 
     The wanted outputs are the consecutive rows, in index order, of one
-    block: ``out`` if the caller gives it, shaped ``(len(wanted),) +
-    shape``, else a new one shaped like the array terms (which share one
+    block: ``out`` if the caller gives it, one row per wanted output, else
+    a new one whose rows are shaped like the array terms (which share one
     shape), where an output whose other terms are all scalars comes back
     as a scalar.  Each product is written into its row, and the atanh,
     the doubling and the clip run once over the whole block.  A product
