@@ -60,11 +60,11 @@ COMMANDS = {
     "ber": (("code", "cart", "memory", "length", "delay", "max_iters", "seed",
              "snr", "max_bits", "max_errors", "out"), {}),
     "threshold-vs-l": (("code", "memory", "length", "delay", "max_iters",
-                        "snr", "target_ber", "out"), {
-        "max_iters": "1000", "snr": "0:14:0.01", "target_ber": "1e-7"}),
+                        "snr", "target_ber", "out"),
+                       {"snr": "0:14:0.01", "target_ber": "1e-7"}),
     "threshold-vs-target": (("code", "memory", "length", "delay", "max_iters",
                              "snr", "target_ber", "out"),
-                            {"max_iters": "1000", "snr": "-2:14:0.01"}),
+                            {"snr": "-2:14:0.01"}),
     "bound": (("code", "memory", "length", "snr", "out"), {}),
     "encode": (("code", "cart", "memory", "length", "seed", "out"), {}),
 }

@@ -5,7 +5,8 @@ previous ones, each scrambled by its own fixed random permutation.  The
 explicit generator-matrix view exists for testing small instances; the
 streaming encoder is the production path.  :func:`window_plan` states the
 sliding-window schedule on this coupling, which the window decoder and the
-MI analysis both run.
+MI analysis both run, and :data:`MAX_ITERS` how many sweeps of it a window
+may take.
 """
 
 from __future__ import annotations
@@ -121,6 +122,11 @@ def encode_bmst(code: BmstCode, info: np.ndarray) -> np.ndarray:
     for i in range(m + 1):
         out[i:i + L] ^= v[:, code.perms[i]]
     return out
+
+
+#: Sweeps of its plan a window may take, in the decoder and in the MI
+#: analysis that predicts it: the one default of every iteration budget.
+MAX_ITERS = 50
 
 
 class WindowPlan(NamedTuple):

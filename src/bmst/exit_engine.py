@@ -32,7 +32,7 @@ import numpy as np
 
 from .basic_codes import RC, BerEstimate, SmallCode, ber_basic, exit_transfer_c
 from .channel import channel_mi, ebn0_to_sigma
-from .encoder import coupled_rate, window_plan
+from .encoder import MAX_ITERS, coupled_rate, window_plan
 from .forked import Children, worker_count
 from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
 
@@ -93,17 +93,18 @@ class ExitRunResult:
 
 def exit_window_run(small: SmallCode, memory: int, delay: int,
                     coupling_len: int, ebn0_db: float, target_ber: float,
-                    i_max: int = 1000, *,
+                    max_iters: int = MAX_ITERS, *,
                     steady_state_shortcut: bool = True) -> ExitRunResult:
     """Slide the MI-domain window over all L target layers.
 
     All full-edge MI start at 0, channel half-edges at the channel MI of
     the coupled rate, source half-edges at 0.  Each window position runs up
-    to ``i_max`` sweeps of the layer schedule (a sweep that no longer moves
-    any MI message by more than ``FIXED_POINT_TOL`` is a fixed point and
-    ends the window early), then applies the convergence check at the target
-    layer.  On success the target layer's outgoing MI freeze at their final
-    values and the window shifts; on failure the run stops.
+    to ``max_iters`` sweeps of the layer schedule, the window decoder's
+    budget (a sweep that no longer moves any MI message by more than
+    ``FIXED_POINT_TOL`` is a fixed point and ends the window early), then
+    applies the convergence check at the target layer.  On success the
+    target layer's outgoing MI freeze at their final values and the window
+    shifts; on failure the run stops.
 
     The state is one number per message, the std ``sqrt(a)`` its sender
     computes from ``a``, the sum of its other input variances.  A parity
@@ -233,7 +234,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                           [(w_plus[x], j, to_eq[x], w_eq[x])
                            for j, x in edges if x >= t],
                           frozen.count(inf), [w for w in frozen if w != inf]))
-        for _ in range(i_max):
+        for _ in range(max_iters):
             # A sweep is a fixed point when no message of the window's layers
             # moves by more than tol in MI; each is written once per sweep.
             moved = False
@@ -309,7 +310,7 @@ class ThresholdQuery:
     lo_db: float
     hi_db: float
     resolution_db: float = 0.01
-    i_max: int = 1000
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self) -> None:
         if self.lo_db >= self.hi_db:
@@ -384,7 +385,7 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     def succeeds(db: float) -> bool:
         return exit_window_run(query.small, query.memory, query.delay,
                                query.coupling_len, db, query.target_ber,
-                               query.i_max).success
+                               query.max_iters).success
 
     def record(db: float, ok: bool) -> None:
         evals.append((db, ok))

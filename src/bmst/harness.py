@@ -20,8 +20,8 @@ from . import __version__
 from .basic_codes import SmallCode, cartesian, make_small_code
 from .channel import (NOISE_ALGORITHM, bpsk_capacity_ebn0_db, ebn0_to_sigma,
                       llr_demap, transmit)
-from .encoder import (PERM_ALGORITHM, build_bmst, coupled_rate, encode_bmst,
-                      rate_bmst)
+from .encoder import (MAX_ITERS, PERM_ALGORITHM, build_bmst, coupled_rate,
+                      encode_bmst, rate_bmst)
 from .exit_engine import (BracketError, ThresholdQuery,
                           genie_bound_ebn0_at_target, genie_lower_bound,
                           threshold_search)
@@ -66,7 +66,7 @@ class ExperimentSpec:
     memories: tuple[int, ...] = (1,)
     lengths: tuple[int, ...] = (100,)
     delays: tuple[int, ...] = ()      # empty: command-specific default
-    max_iters: int = 50
+    max_iters: int = MAX_ITERS
     seed: int = 1
     snr_lo: float = 0.0
     snr_hi: float = 6.0
@@ -317,7 +317,7 @@ def _threshold(spec: ExperimentSpec, small: SmallCode, memory: int,
     try:
         res = threshold_search(ThresholdQuery(
             small, memory, delay, length, target, spec.snr_lo, spec.snr_hi,
-            resolution_db=spec.snr_step, i_max=spec.max_iters))
+            resolution_db=spec.snr_step, max_iters=spec.max_iters))
     except BracketError as exc:
         return math.nan, math.nan, f"no-bracket: {exc}"
     return res.ebn0_star_db, res.sigma_star, "ok"

@@ -22,10 +22,10 @@ def clip_llr(x, out=None):
 
 
 def tanh_half(x):
-    """``tanh(x/2)``, the domain in which parity checks multiply; arrays
-    come back as a new C-ordered array."""
+    """``tanh(x/2)`` of an array, the domain in which parity checks
+    multiply, as a new C-ordered array."""
     th = np.multiply(x, 0.5, order="C")
-    return np.tanh(th, out=th) if isinstance(th, np.ndarray) else np.tanh(th)
+    return np.tanh(th, out=th)
 
 
 def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
@@ -43,13 +43,11 @@ def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
 
     The wanted outputs are the consecutive rows, in index order, of one
     block: ``out`` if the caller gives it, one row per wanted output, else
-    a new one whose rows are shaped like the array terms (which share one
-    shape), where an output whose other terms are all scalars comes back
-    as a scalar.  Each product is written into its row, and the atanh,
-    the doubling and the clip run once over the whole block.  A product
-    of +/-1 has atanh +/-inf, which the clip saturates; numpy reports it
-    as a division by zero unless the caller's ``np.errstate`` ignores
-    that.
+    a new one whose rows are shaped like the terms, arrays of one shape.
+    Each product is written into its row, and the atanh, the doubling and
+    the clip run once over the whole block.  A product of +/-1 has atanh
+    +/-inf, which the clip saturates; numpy reports it as a division by
+    zero unless the caller's ``np.errstate`` ignores that.
     """
     q = len(terms)
     want = sorted(range(q) if needed is None else set(needed))
@@ -60,13 +58,9 @@ def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
     lone = want[0] if len(want) == 1 else None
     th = [h if h is not None or i == lone else tanh_half(t)
           for i, (t, h) in enumerate(zip(terms, th or [None] * q))]
-    scalar = None  # the output whose other terms are all scalars, if any
     if out is None:
-        sized = [i for i, h in enumerate(th)
-                 if i != lone and isinstance(h, np.ndarray)]
-        out = np.empty((len(want),) + (th[sized[0]].shape if sized else ()))
-        if len(sized) == 1:
-            scalar = sized[0]
+        shape = next((h.shape for i, h in enumerate(th) if i != lone), ())
+        out = np.empty((len(want),) + shape)
     for r, i in enumerate(want):
         outs[i] = out[r, ...]
     # prefix[i] = th[0] * ... * th[i-1] and suffix = th[q-1] * ... * th[i+1],
@@ -92,6 +86,4 @@ def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
     np.arctanh(out, out=out)
     np.multiply(out, 2.0, out=out)
     clip_llr(out, out=out)
-    if scalar is not None and outs[scalar] is not None:
-        outs[scalar] = outs[scalar].flat[0]
     return outs

@@ -46,7 +46,7 @@ class DecoderConfig:
     """Knobs of the window decoder."""
 
     delay: int
-    max_iters: int = 50
+    max_iters: int
 
     def __post_init__(self) -> None:
         if self.delay < 0:

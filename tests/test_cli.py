@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shlex
@@ -12,7 +13,9 @@ import bmst
 import bmst.cli as cli
 import bmst.exit_engine as exit_engine
 import bmst.harness as harness
+from bmst.basic_codes import make_small_code
 from bmst.cli import main, spec_from_args
+from bmst.encoder import MAX_ITERS
 from bmst.harness import (SpecError, parse_metadata, replay,
                           spec_from_metadata, strip_timestamp)
 
@@ -36,7 +39,21 @@ def test_list_flags():
     assert spec.memories == (1, 2)
     assert spec.lengths == (10, 100, 1000)
     assert spec.targets == (1e-7,)
-    assert spec.max_iters == 1000  # threshold default
+    assert spec.max_iters == MAX_ITERS
+
+
+def test_one_iteration_budget():
+    # the threshold commands analyse the decoder that ber runs, and the
+    # decoder takes its budget from the spec alone
+    budgets = {spec_from_args([command]).max_iters
+               for command in ("ber", "threshold-vs-l", "threshold-vs-target")}
+    budgets.add(exit_engine.ThresholdQuery(make_small_code("rc", 2), 1, 3, 10,
+                                           1e-3, 0.0, 1.0).max_iters)
+    budgets.add(inspect.signature(exit_engine.exit_window_run)
+                .parameters["max_iters"].default)
+    assert budgets == {MAX_ITERS}
+    with pytest.raises(TypeError):
+        bmst.DecoderConfig(delay=3)
 
 
 def test_config_file_and_override(tmp_path):

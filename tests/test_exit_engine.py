@@ -125,7 +125,7 @@ class TestExitWindowRun:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_two_sweeps_unrolled(self, n):
-        # m=1, d=1, L=2, stopped after i_max=2 sweeps.  A sweep runs parity
+        # m=1, d=1, L=2, stopped after max_iters=2 sweeps.  A sweep runs parity
         # node 0, layer 0's equality and code nodes, parity node 1, layer
         # 1's equality and code nodes, then the tail parity node 2.  In
         # sweep 2 parity node 1 answers layer 0 with what layer 1's
@@ -153,7 +153,7 @@ class TestExitWindowRun:
             v01 = var(1.0 - jfun(math.sqrt(w_ch + w10)))  # sweep 2
             i_a = jfun(math.sqrt(v00 + v01))
             want = ber_estimate(mi_ap(i_a, exit_transfer_c(small, i_a)))
-            res = exit_window_run(small, 1, 1, 2, g, 1e-3, i_max=2)
+            res = exit_window_run(small, 1, 1, 2, g, 1e-3, max_iters=2)
             assert res.p_est[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_validation(self):

@@ -1,11 +1,11 @@
 """Bit-for-bit pins of the two node rules the window decoder runs.
 
-``golden/node_outputs.json`` holds seeded LLR inputs, mixed with 0.0, -0.0,
-+/-LLR_CLIP, +/-49.9 and plain-float terms, and the outputs of
-``leave_one_out_boxplus`` and ``siso_decode_basic`` on them, all as
-``float.hex`` strings.  Any change to either rule must reproduce every
-output, signed zeros included, and so must the boxplus when each term
-comes as its tanh alone or its outputs go into a block the caller gives.
+``golden/node_outputs.json`` holds seeded LLR arrays, mixed with 0.0, -0.0,
++/-LLR_CLIP and +/-49.9, and the outputs of ``leave_one_out_boxplus`` and
+``siso_decode_basic`` on them, all as ``float.hex`` strings.  Any change
+to either rule must reproduce every output, signed zeros included, and so
+must the boxplus when each term comes as its tanh alone or its outputs go
+into a block the caller gives.
 """
 
 import itertools
@@ -25,8 +25,6 @@ SISO = [c for c in CASES if c["node"] == "siso"]
 
 
 def value(item):
-    if "float" in item:
-        return float.fromhex(item["float"])
     flat = [float.fromhex(h) for h in item["hex"]]
     return np.array(flat).reshape(item["shape"])
 
@@ -46,9 +44,8 @@ def saturated_products():
         yield
 
 
-@pytest.mark.parametrize("case", BOXPLUS, ids=lambda c: "q{}-{}".format(
-    len(c["terms"]),
-    "mixed" if any("float" in t for t in c["terms"]) else "arrays"))
+@pytest.mark.parametrize("case", BOXPLUS,
+                         ids=lambda c: f"q{len(c['terms'])}-arrays")
 def test_leave_one_out_boxplus_bit_exact(case):
     # the window decoder gives its fixed terms as their tanh alone, with
     # None for the LLR: every term given that way must give the same bits

@@ -355,7 +355,7 @@ def test_window_input_validation():
     with pytest.raises(ValueError):  # the flat form is not taken
         decode_sequence(code, np.zeros(5 * code.N), cfg)
     with pytest.raises(ValueError):
-        DecoderConfig(delay=-1)
+        DecoderConfig(delay=-1, max_iters=5)
     with pytest.raises(ValueError):
         DecoderConfig(delay=1, max_iters=0)
 
