@@ -101,16 +101,15 @@ def encode_basic(code: BasicCode, info: np.ndarray) -> np.ndarray:
 
 
 def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
-                      src_apriori: np.ndarray | None = None,
                       info_app: bool = True):
     """Exact symbol-MAP SISO decode, independently per block.
 
-    ``cw_apriori`` carries N codeword-bit LLRs and ``src_apriori`` K source
-    LLRs (defaults to all-zero, the equiprobable source), both finite and
-    within ``+/- LLR_CLIP``.  Returns the codeword-edge extrinsic LLRs and
-    the info-bit APP LLRs, or None in place of the latter when ``info_app``
-    is false.  Stacked inputs are decoded along the last axis.  An SPC
-    check with saturated inputs reaches atanh(+/-1) (see
+    ``cw_apriori`` carries N codeword-bit LLRs, finite and within
+    ``+/- LLR_CLIP``; the source half-edge is all-zero, the equiprobable
+    source.  Returns the codeword-edge extrinsic LLRs and the info-bit APP
+    LLRs, or None in place of the latter when ``info_app`` is false.
+    Stacked inputs are decoded along the last axis.  An SPC check with
+    saturated inputs reaches atanh(+/-1) (see
     :func:`bmst.llr.leave_one_out_boxplus`), which the caller's
     ``np.errstate`` decides how to report.
     """
@@ -118,44 +117,37 @@ def siso_decode_basic(code: BasicCode, cw_apriori: np.ndarray,
     if cw.shape[-1] != code.N:
         raise ValueError(f"expected {code.N} codeword LLRs, got {cw.shape[-1]}")
     lead = cw.shape[:-1]
-    # An absent source adds +0.0, which only turns -0.0 into +0.0.
-    src = 0.0
-    if src_apriori is not None:
-        src = np.asarray(src_apriori, dtype=float)
-        if src.shape[-1] != code.K:
-            raise ValueError(f"expected {code.K} source LLRs, got {src.shape[-1]}")
     n, k = code.small.n, code.small.k
     app = None
 
     if code.small.kind == RC:
         cwb = cw.reshape(lead + (code.cart_order, n))
+        # K == B: the block's one source bit adds +0.0 to the column sum,
+        # which only turns -0.0 into +0.0.
         if n < 8:
             # numpy sums fewer than 8 terms one by one from +0.0; adding the
             # columns in that order gives the same bits at a fraction of the
-            # cost of a reduction over a short last axis.
-            cw_sum = 0.0 + cwb[..., 0]
+            # cost of a reduction over a short last axis, and the sum, begun
+            # at +0.0, is never -0.0.
+            total = 0.0 + cwb[..., 0]
             for j in range(1, n):
-                cw_sum = cw_sum + cwb[..., j]
+                total = total + cwb[..., j]
         else:
-            cw_sum = cwb.sum(axis=-1)
-        total = src + cw_sum  # K == B: one source bit per block
+            total = 0.0 + cwb.sum(axis=-1)
         ext = np.subtract(total[..., None], cwb)
         clip_llr(ext, out=ext)
         if info_app:
             app = clip_llr(total)[..., None]
     else:
-        # One row per block: its k info bits take their source LLRs (rows +
-        # 0.0 adds the absent one) and its parity bit is taken as is.  The
-        # n bit positions, the columns, are the combine's terms, and its
+        # One row per block: its k info bits take the source's +0.0, which
+        # only turns -0.0 into +0.0, and its parity bit is taken as is.  The
+        # n bit positions, the columns, are the combine's inputs, and its
         # outputs fill the columns of ``ext``.
         rows = cw.reshape(-1, n)
         eff = rows + 0.0
         eff[:, k:] = rows[:, k:]
-        if src_apriori is not None:
-            np.add(rows[:, :k], src.reshape(-1, k), out=eff[:, :k])
         ext = np.empty_like(eff)
-        leave_one_out_boxplus(list(eff.T), th=list(tanh_half(eff).T),
-                              out=ext.T)
+        leave_one_out_boxplus(list(tanh_half(eff).T), out=ext.T)
         if info_app:
             app = np.add(eff[:, :k], ext[:, :k])
             clip_llr(app, out=app)

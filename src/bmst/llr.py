@@ -28,36 +28,32 @@ def tanh_half(x):
     return np.tanh(th, out=th)
 
 
-def leave_one_out_boxplus(terms, needed=None, th=None, out=None):
-    """For q input arrays return q outputs, the parity-check combine of all
-    other inputs: out[i] = 2*atanh(prod over j != i of tanh(terms[j]/2)).
+def leave_one_out_boxplus(th, needed=None, out=None):
+    """For q inputs, each given as its ``tanh(L/2)`` array, return q
+    outputs, the parity-check combine of all other inputs:
+    out[i] = 2*atanh(prod over j != i of th[j]).
 
-    Prefix/suffix products in the tanh domain keep the cost linear in q.
-    With a single input the output is full certainty (``LLR_CLIP``).
-    ``needed`` optionally restricts which output indices are materialized
-    (the rest are None).  ``th`` optionally lists ``tanh(terms[i]/2)``
-    already computed by the caller, with None where this function should
-    compute it; the function never writes into those arrays.  ``terms[i]``
-    is read only where ``th[i]`` is None, so a caller that gives the tanh
-    may pass None for the term.
+    Prefix/suffix products keep the cost linear in q.  With a single input
+    the output is full certainty (``LLR_CLIP``).  ``needed`` optionally
+    restricts which output indices are materialized (the rest are None).
+    A lone wanted output never reads its own input, so ``th`` may hold None
+    there.  The function never writes into the ``th`` arrays.
 
     The wanted outputs are the consecutive rows, in index order, of one
     block: ``out`` if the caller gives it, one row per wanted output, else
-    a new one whose rows are shaped like the terms, arrays of one shape.
+    a new one whose rows are shaped like the inputs, arrays of one shape.
     Each product is written into its row, and the atanh, the doubling and
     the clip run once over the whole block.  A product of +/-1 has atanh
     +/-inf, which the clip saturates; numpy reports it as a division by
     zero unless the caller's ``np.errstate`` ignores that.
     """
-    q = len(terms)
+    q = len(th)
     want = sorted(range(q) if needed is None else set(needed))
     outs = [None] * q
     if not want:
         return outs
-    # A lone wanted output never reads its own term's tanh.
+    # A lone wanted output reads neither its own input nor that input's shape.
     lone = want[0] if len(want) == 1 else None
-    th = [h if h is not None or i == lone else tanh_half(t)
-          for i, (t, h) in enumerate(zip(terms, th or [None] * q))]
     if out is None:
         shape = next((h.shape for i, h in enumerate(th) if i != lone), ())
         out = np.empty((len(want),) + shape)

@@ -147,12 +147,11 @@ def _agree(now, then) -> np.ndarray:
 def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                edges) -> None:
     """Update parity node of block s in the window of target layer t; write
-    its extrinsics toward the window's layers.  A fixed term enters as its
-    tanh alone, with None for its LLR.  The terms of the window's layers
-    are gathered into the rows of one block, which becomes their tanh in
-    place, and each row stands as both (``leave_one_out_boxplus`` reads a
-    term only where its tanh is None); a lone receiver's term is never
-    read, so it is not gathered."""
+    its extrinsics toward the window's layers.  Every input enters as its
+    tanh: the fixed ones as computed when the window starts, and the
+    messages of the window's layers gathered into the rows of one block,
+    which becomes their tanh in place.  A lone receiver's message is never
+    read, so it is not gathered, and its input is None."""
     live = [(j, x - t) for j, x in edges if x >= t]
     gathered = iter([None])
     if len(live) > 1:
@@ -166,19 +165,15 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
         np.multiply(block, 0.5, out=block)
         np.tanh(block, out=block)
         gathered = iter(block)
-    terms = [None]
     th = [act.channel_th[s - t]]
     receivers = []
     for j, x in edges:
         if x < t:
-            term, h = None, act.feedback[x, j]
+            th.append(act.feedback[x, j])
         else:
-            term = h = next(gathered)
-            receivers.append((len(terms), j, x - t))
-        terms.append(term)
-        th.append(h)
-    outs = leave_one_out_boxplus(terms, needed=[i for i, _, _ in receivers],
-                                 th=th)
+            receivers.append((len(th), j, x - t))
+            th.append(next(gathered))
+    outs = leave_one_out_boxplus(th, needed=[i for i, _, _ in receivers])
     for i, j, w in receivers:
         outs[i].take(code.perms_inv[j], axis=-1, out=act.ppm[w, j],
                      mode="clip")

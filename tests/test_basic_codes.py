@@ -31,22 +31,19 @@ def gf2_rank(mat):
     return rank
 
 
-def enumeration_siso(code, cw_llr, src_llr=None):
+def enumeration_siso(code, cw_llr):
     """Brute-force symbol-MAP reference: marginalize over all codewords of
-    each independent block."""
+    each independent block, with the all-zero source prior."""
     small = code.small
     n, k, B = small.n, small.k, code.cart_order
-    if src_llr is None:
-        src_llr = np.zeros(code.K)
     cw_llr = np.asarray(cw_llr, dtype=float).reshape(B, n)
-    src_llr = np.asarray(src_llr, dtype=float).reshape(B, k)
     infos = np.array(list(itertools.product([0, 1], repeat=k)), dtype=np.uint8)
     words = (infos.astype(np.int32) @ small.generator.astype(np.int32)) & 1
     ext = np.zeros((B, n))
     app = np.zeros((B, k))
     for b in range(B):
         # log-weight of each codeword under the bit-wise priors
-        logw = -(words @ cw_llr[b]) - (infos @ src_llr[b])
+        logw = -(words @ cw_llr[b])
         for j in range(n):
             w0 = logw[words[:, j] == 0]
             w1 = logw[words[:, j] == 1]
@@ -167,36 +164,7 @@ class TestSiso:
         ext, app = siso_decode_basic(code, cw)
         ext_ref, app_ref = enumeration_siso(code, cw)
         np.testing.assert_allclose(app, app_ref, atol=1e-9)
-        if kind == "rc":
-            np.testing.assert_allclose(ext, ext_ref, atol=1e-9)
-        else:
-            # extrinsic here excludes the source prior, which is zero anyway
-            np.testing.assert_allclose(ext, ext_ref, atol=1e-9)
-
-    def test_rc_nonzero_source_matches_enumeration(self):
-        code = cartesian(make_small_code("rc", 3), 4)
-        rng = np.random.default_rng(5)
-        cw = rng.uniform(-6, 6, code.N)
-        src = rng.uniform(-4, 4, code.K)
-        ext, app = siso_decode_basic(code, cw, src)
-        ext_ref, app_ref = enumeration_siso(code, cw, src)
         np.testing.assert_allclose(ext, ext_ref, atol=1e-9)
-        np.testing.assert_allclose(app, app_ref, atol=1e-9)
-
-    def test_spc_nonzero_source_definition(self):
-        # extrinsic to bit j is the boxplus of the other effective LLRs,
-        # where systematic bits fold their source prior in
-        from llr_oracles import boxplus_reduce
-        code = cartesian(make_small_code("spc", 4), 1)
-        cw = np.array([1.5, -2.0, 0.75, 3.0])
-        src = np.array([0.5, -1.0, 2.0])
-        eff = cw.copy()
-        eff[:3] += src
-        ext, app = siso_decode_basic(code, cw, src)
-        for j in range(4):
-            rest = np.delete(eff, j)
-            assert ext[j] == pytest.approx(float(boxplus_reduce(list(rest))))
-        np.testing.assert_allclose(app, eff[:3] + ext[:3], atol=1e-12)
 
     def test_certain_codeword_recovers_info(self):
         for kind, n in [("rc", 2), ("spc", 4)]:
@@ -224,8 +192,6 @@ class TestSiso:
         code = cartesian(make_small_code("rc", 2), 2)
         with pytest.raises(ValueError):
             siso_decode_basic(code, np.zeros(5))
-        with pytest.raises(ValueError):
-            siso_decode_basic(code, np.zeros(4), np.zeros(3))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 11])
     def test_rc_bits_equal_numpy_sum(self, n):
@@ -235,17 +201,13 @@ class TestSiso:
         rng = np.random.default_rng(n)
         cw = np.clip(rng.standard_normal((4, code.N)) * 20.0, -50.0, 50.0)
         cw[rng.random(cw.shape) < 0.2] = -0.0
-        src = rng.standard_normal((4, code.K))
-        src[rng.random(src.shape) < 0.3] = -0.0
-        for s in (None, src):
-            ext, app = siso_decode_basic(code, cw, s)
-            cwb = cw.reshape(4, 6, n)
-            srcb = np.zeros((4, 6)) if s is None else s
-            total = srcb + cwb.sum(axis=-1)
-            want_ext = np.clip(total[..., None] - cwb, -50.0, 50.0)
-            want_app = np.clip(total, -50.0, 50.0)
-            assert ext.tobytes() == want_ext.reshape(4, -1).tobytes()
-            assert app.tobytes() == want_app.tobytes()
+        ext, app = siso_decode_basic(code, cw)
+        cwb = cw.reshape(4, 6, n)
+        total = np.zeros((4, 6)) + cwb.sum(axis=-1)
+        want_ext = np.clip(total[..., None] - cwb, -50.0, 50.0)
+        want_app = np.clip(total, -50.0, 50.0)
+        assert ext.tobytes() == want_ext.reshape(4, -1).tobytes()
+        assert app.tobytes() == want_app.tobytes()
 
 
 class TestExitTransfer:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bmst.llr import LLR_CLIP, leave_one_out_boxplus
+from bmst.llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
 from llr_oracles import boxplus, boxplus_reduce
 
 
@@ -49,7 +49,7 @@ def test_boxplus_commutative_and_bounded():
 def test_leave_one_out_boxplus_matches_naive():
     rng = np.random.default_rng(9)
     terms = [rng.uniform(-15, 15, 64) for _ in range(5)]
-    outs = leave_one_out_boxplus(terms)
+    outs = leave_one_out_boxplus([tanh_half(t) for t in terms])
     for i in range(5):
         rest = [t for j, t in enumerate(terms) if j != i]
         np.testing.assert_allclose(outs[i], boxplus_reduce(rest), atol=1e-9)
@@ -57,14 +57,14 @@ def test_leave_one_out_boxplus_matches_naive():
 
 def test_leave_one_out_boxplus_single_term_is_certainty():
     with np.errstate(divide="ignore"):  # the empty product's atanh(1)
-        (out,) = leave_one_out_boxplus([np.array([1.0, -2.0])])
+        (out,) = leave_one_out_boxplus([tanh_half(np.array([1.0, -2.0]))])
     assert np.all(out == LLR_CLIP)
 
 
 def test_leave_one_out_boxplus_needed_subset():
     rng = np.random.default_rng(10)
     terms = [rng.uniform(-5, 5, 16) for _ in range(4)]
-    outs = leave_one_out_boxplus(terms, needed=[2])
+    outs = leave_one_out_boxplus([tanh_half(t) for t in terms], needed=[2])
     assert outs[0] is None and outs[1] is None and outs[3] is None
     rest = [terms[0], terms[1], terms[3]]
     np.testing.assert_allclose(outs[2], boxplus_reduce(rest), atol=1e-9)

@@ -1,11 +1,11 @@
 """Bit-for-bit pins of the two node rules the window decoder runs.
 
 ``golden/node_outputs.json`` holds seeded LLR arrays, mixed with 0.0, -0.0,
-+/-LLR_CLIP and +/-49.9, and the outputs of ``leave_one_out_boxplus`` and
-``siso_decode_basic`` on them, all as ``float.hex`` strings.  Any change
-to either rule must reproduce every output, signed zeros included, and so
-must the boxplus when each term comes as its tanh alone or its outputs go
-into a block the caller gives.
++/-LLR_CLIP and +/-49.9, and the outputs of ``leave_one_out_boxplus`` (fed
+their ``tanh_half``) and of ``siso_decode_basic`` (with the all-zero source,
+``"src": null``) on them, all as ``float.hex`` strings.  Any change to
+either rule must reproduce every output, signed zeros included, and so must
+the boxplus when its outputs go into a block the caller gives.
 """
 
 import itertools
@@ -47,33 +47,34 @@ def saturated_products():
 @pytest.mark.parametrize("case", BOXPLUS,
                          ids=lambda c: f"q{len(c['terms'])}-arrays")
 def test_leave_one_out_boxplus_bit_exact(case):
-    # the window decoder gives its fixed terms as their tanh alone, with
-    # None for the LLR: every term given that way must give the same bits
-    terms = [value(t) for t in case["terms"]]
-    q = len(terms)
-    forms = [(terms, None), ([None] * q, [tanh_half(t) for t in terms])]
-    for args, th in forms:
-        for r in range(q + 1):
-            for needed in itertools.combinations(range(q), r):
-                outs = leave_one_out_boxplus(args, needed=list(needed), th=th)
-                for i, out in enumerate(outs):
-                    if i in needed:
-                        assert pinned(out) == case["outs"][i], (needed, i)
-                    else:
-                        assert out is None
-                if needed:
-                    check_out_block(args, th, needed, case["outs"])
-        outs = leave_one_out_boxplus(args, th=th)
-        assert [pinned(o) for o in outs] == case["outs"]
+    th = [tanh_half(value(t)) for t in case["terms"]]
+    q = len(th)
+    for r in range(q + 1):
+        for needed in itertools.combinations(range(q), r):
+            outs = leave_one_out_boxplus(th, needed=list(needed))
+            for i, out in enumerate(outs):
+                if i in needed:
+                    assert pinned(out) == case["outs"][i], (needed, i)
+                else:
+                    assert out is None
+            if needed:
+                check_out_block(th, needed, case["outs"])
+    for i in range(q):
+        # a lone wanted output's own input may be None, as the window
+        # decoder passes it for a lone receiver
+        outs = leave_one_out_boxplus(th[:i] + [None] + th[i + 1:], needed=[i])
+        assert pinned(outs[i]) == case["outs"][i], i
+    outs = leave_one_out_boxplus(th)
+    assert [pinned(o) for o in outs] == case["outs"]
 
 
-def check_out_block(args, th, needed, pins):
+def check_out_block(th, needed, pins):
     """The wanted outputs written into a block the caller gives: row r
     holds output needed[r], its pinned bits broadcast to the row's shape,
     and the outputs returned are those rows."""
     shape = np.broadcast_shapes(*(tuple(pins[i]["shape"]) for i in needed))
     block = np.full((len(needed),) + shape, np.nan)
-    outs = leave_one_out_boxplus(args, needed=list(needed), th=th, out=block)
+    outs = leave_one_out_boxplus(th, needed=list(needed), out=block)
     for r, i in enumerate(needed):
         want = pinned(np.broadcast_to(value(pins[i]), shape))
         row = block[r, ...]
@@ -83,16 +84,13 @@ def check_out_block(args, th, needed, pins):
 
 
 @pytest.mark.parametrize("info_app", [False, True])
-@pytest.mark.parametrize("case", SISO, ids=lambda c: "{}-lead{}-{}".format(
-    c["code"], "x".join(map(str, c["cw"]["shape"][:-1])) or "0",
-    "src" if c["src"] else "nosrc"))
+@pytest.mark.parametrize("case", SISO, ids=lambda c: "{}-lead{}-nosrc".format(
+    c["code"], "x".join(map(str, c["cw"]["shape"][:-1])) or "0"))
 def test_siso_decode_basic_bit_exact(case, info_app):
     # the equality node asks for the extrinsics alone (info_app false)
     kind, n = case["code"].split(":")
     basic = cartesian(make_small_code(kind, int(n)), case["cart"])
-    src = None if case["src"] is None else value(case["src"])
-    ext, app = siso_decode_basic(basic, value(case["cw"]), src,
-                                 info_app=info_app)
+    ext, app = siso_decode_basic(basic, value(case["cw"]), info_app=info_app)
     assert pinned(ext) == case["ext"]
     if info_app:
         assert pinned(app) == case["app"]

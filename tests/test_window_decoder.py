@@ -8,7 +8,7 @@ import pytest
 from bmst.basic_codes import ber_basic, cartesian, encode_basic, make_small_code
 from bmst.channel import ebn0_to_sigma, llr_demap, transmit
 from bmst.encoder import build_bmst, rate_bmst, window_plan
-from bmst.llr import LLR_CLIP, leave_one_out_boxplus
+from bmst.llr import LLR_CLIP, leave_one_out_boxplus, tanh_half
 from bmst.window_decoder import DecoderConfig, decode_sequence, decode_window
 
 
@@ -47,7 +47,8 @@ def windows_one_by_one(code, cfg, llr):
 def plus_node(incoming, channel_llr):
     """Parity-node extrinsics toward the incoming edges, computed by the call
     the window decoder makes: the channel LLR is term 0."""
-    return leave_one_out_boxplus([channel_llr, *incoming])[1:]
+    th = [tanh_half(t) for t in (channel_llr, *incoming)]
+    return leave_one_out_boxplus(th)[1:]
 
 
 class TestNodePlus:
