@@ -141,10 +141,8 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     # sigma of each message, by its receiver's side: MI 0 is sigma 0 toward
     # a parity node and sigma inf toward an equality node.  Beside it, the
     # weight its receiver reads, jdual(sigma)**2: inf and 0.0 at the start.
-    to_plus = [[0.0] * q for _ in range(L)]
-    w_plus = [[_INF] * q for _ in range(L)]
-    to_eq = [[_INF] * q for _ in range(L)]
-    w_eq = [[0.0] * q for _ in range(L)]
+    # Layer x's rows are made when a window first holds x.
+    to_plus, w_plus, to_eq, w_eq = [], [], [], []
     p_trace = np.full(L, np.nan)
 
     # Module attributes are looked up once per run, so a wrapped jfun, jdual
@@ -157,91 +155,87 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     inf = _INF
     tol = FIXED_POINT_TOL
 
-    def plus_node(live, n_frozen_inf: int, frozen, moved: bool) -> bool:
-        """Update one parity node.  ``live`` holds its edges to the
-        window's layers as ``(wrow, j, erow, werow)``: it reads the weight
-        ``wrow[j]`` and answers into ``erow[j]`` and ``werow[j]``.  The
-        decided layers' edges come last in edge order; they add
-        ``n_frozen_inf`` infinite weights and the finite ones in ``frozen``.
-        Returns whether any message of the sweep so far moved by more than
-        ``tol``."""
-        n_inf = n_frozen_inf
-        fin = 0.0
-        for wrow, j, _, _ in live:
-            w = wrow[j]
-            if w == inf:
-                n_inf += 1
-            else:
-                fin += w
-        for w in frozen:
-            fin += w
-        for wrow, j, erow, werow in live:
-            w = wrow[j]  # this node writes no weight it reads
-            if w == inf:
-                others_inf = n_inf - 1
-                others_fin = fin
-            else:
-                others_inf = n_inf
-                others_fin = fin - w
-            if others_inf:
-                sa = inf
-            else:
-                a = w_ch + others_fin
-                sa = sqrt(0.0 if a < 0.0 else a)
-            old = erow[j]
-            if sa != old:
-                if not moved:
-                    diff = (1.0 - j_fun(sa)) - (1.0 - j_fun(old))
-                    moved = diff > tol or -diff > tol
-                erow[j] = sa
-                werow[j] = j_dual(sa) ** 2
-        return moved
-
-    def eq_c_node(tp: int, moved: bool) -> bool:
-        """Update the equality and code nodes of layer tp; returns the
-        running ``moved`` flag as :func:`plus_node` does."""
-        v = w_eq[tp]
-        total = 0.0
-        for vi in v:  # in edge order; sum() compensates from Python 3.12 on
-            total += vi
-        if rc:
-            v_c = n_other * total
-        else:
-            v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
-        row = to_plus[tp]
-        wrow = w_plus[tp]
-        for i in range(q):
-            # An infinite input makes v_c infinite: no inf - inf.
-            vi = v[i]
-            a = inf if vi == inf else total - vi + v_c
-            sa = sqrt(0.0 if a < 0.0 else a)
-            old = row[i]
-            if sa != old:
-                if not moved:
-                    diff = j_fun(sa) - j_fun(old)
-                    moved = diff > tol or -diff > tol
-                row[i] = sa
-                wrow[i] = j_dual(sa) ** 2
-        return moved
-
     def run_window(t: int) -> ConvergenceCheck:
         plan = window_plan(L, m, d, t)
+        for _ in range(len(to_plus), plan.layer_end + 1):
+            to_plus.append([0.0] * q)
+            w_plus.append([inf] * q)
+            to_eq.append([inf] * q)
+            w_eq.append([0.0] * q)
         nodes = []
         for s, edges in plan.sweep:
             # A decided layer's weights are frozen: read them once.
             frozen = [w_plus[x][j] for j, x in edges if x < t]
-            nodes.append((s <= plan.layer_end, s,
-                          [(w_plus[x], j, to_eq[x], w_eq[x])
+            layer = ((w_eq[s], to_plus[s], w_plus[s])
+                     if s <= plan.layer_end else None)
+            nodes.append(([(w_plus[x], j, to_eq[x], w_eq[x])
                            for j, x in edges if x >= t],
-                          frozen.count(inf), [w for w in frozen if w != inf]))
+                          frozen.count(inf), [w for w in frozen if w != inf],
+                          layer))
         for _ in range(max_iters):
             # A sweep is a fixed point when no message of the window's layers
             # moves by more than tol in MI; each is written once per sweep.
             moved = False
-            for layer, s, live, n_frozen_inf, frozen in nodes:
-                moved = plus_node(live, n_frozen_inf, frozen, moved)
-                if layer:
-                    moved = eq_c_node(s, moved)
+            for live, n_frozen_inf, frozen, layer in nodes:
+                # Parity node s.  ``live`` holds its edges to the window's
+                # layers as (wrow, j, erow, werow): it reads the weight
+                # wrow[j] and answers into erow[j] and werow[j].  The
+                # decided layers' edges come last in edge order; they add
+                # n_frozen_inf infinite weights and the finite ones in frozen.
+                n_inf = n_frozen_inf
+                fin = 0.0
+                for wrow, j, _, _ in live:
+                    w = wrow[j]
+                    if w == inf:
+                        n_inf += 1
+                    else:
+                        fin += w
+                for w in frozen:
+                    fin += w
+                for wrow, j, erow, werow in live:
+                    w = wrow[j]  # this node writes no weight it reads
+                    if w == inf:
+                        others_inf = n_inf - 1
+                        others_fin = fin
+                    else:
+                        others_inf = n_inf
+                        others_fin = fin - w
+                    if others_inf:
+                        sa = inf
+                    else:
+                        a = w_ch + others_fin
+                        sa = sqrt(0.0 if a < 0.0 else a)
+                    old = erow[j]
+                    if sa != old:
+                        if not moved:
+                            diff = (1.0 - j_fun(sa)) - (1.0 - j_fun(old))
+                            moved = diff > tol or -diff > tol
+                        erow[j] = sa
+                        werow[j] = j_dual(sa) ** 2
+                if layer is None:
+                    continue
+                # The equality and code nodes of layer s: they read the
+                # weights v and answer into row and wrow.
+                v, row, wrow = layer
+                total = 0.0
+                for vi in v:  # in edge order; sum() compensates from 3.12 on
+                    total += vi
+                if rc:
+                    v_c = n_other * total
+                else:
+                    v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
+                for i in range(q):
+                    # An infinite input makes v_c infinite: no inf - inf.
+                    vi = v[i]
+                    a = inf if vi == inf else total - vi + v_c
+                    sa = sqrt(0.0 if a < 0.0 else a)
+                    old = row[i]
+                    if sa != old:
+                        if not moved:
+                            diff = j_fun(sa) - j_fun(old)
+                            moved = diff > tol or -diff > tol
+                        row[i] = sa
+                        wrow[i] = j_dual(sa) ** 2
             if not moved:
                 break
         total = 0.0
@@ -277,15 +271,19 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                     and abs(check.p_est - prev_p) <= tol
                     and all(abs(a - b) <= tol
                             for a, b in zip(band, prev_band))):
-                # Every window up to last_mid will repeat this one verbatim.
+                # Every window up to last_mid will repeat this one verbatim:
+                # each layer it decides gets a copy of layer t's parity
+                # rows, and window last_mid a copy of window t's rows.  No
+                # later window reads the equality rows of the layers between.
                 p_trace[t + 1:last_mid + 1] = check.p_est
                 for plus, eq in ((to_plus, to_eq), (w_plus, w_eq)):
                     saved_plus = [list(row) for row in plus[t:t + d + 1]]
                     saved_eq = [list(row) for row in eq[t:t + d + 1]]
-                    for x in range(t + 1, last_mid + 1):
-                        plus[x] = list(plus[t])
-                    plus[last_mid:last_mid + d + 1] = saved_plus
-                    eq[last_mid:last_mid + d + 1] = saved_eq
+                    plus[t + 1:] = [list(plus[t])
+                                    for _ in range(t + 1, last_mid)]
+                    plus += saved_plus
+                    eq.extend([None] * (last_mid - len(eq)))
+                    eq[last_mid:] = saved_eq
                 t = last_mid + 1
                 continue
             prev_band = band

@@ -95,10 +95,13 @@ _REGENERATE = ("regenerate the J tables with python -c \"from bmst.jfun "
 
 
 def _read_tables(path: Path = TABLES_PATH) -> tuple:
-    """The J spline's (c0, c1, c2, c3) per interval, ``mi_hi`` followed by
-    the seeds of ``jinv``, and the flattened (c0, c1, c2, c3) of the duality
-    table's intervals, read from ``path``; a missing or wrong-sized file
-    raises ``RuntimeError``."""
+    """The J spline's rows, ``mi_hi`` followed by the seeds of ``jinv``, and
+    the duality table's rows, read from ``path``; a missing or wrong-sized
+    file raises ``RuntimeError``.
+
+    A row is one interval's ``(x0, c0, c1, c2, c3)``: its first node ``x0``
+    and the cubic in ``s - x0``, so that a lookup reads one row.  ``x0`` is
+    ``i * _STEP`` and ``_DUAL_S0 + i * _DUAL_STEP`` for interval i."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -111,10 +114,14 @@ def _read_tables(path: Path = TABLES_PATH) -> tuple:
     if sys.byteorder == "big":
         vals.byteswap()
     k = _N_INT + 1
-    coef = list(zip(*(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
+    coef = list(zip([i * _STEP for i in range(_N_INT)],
+                    *(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
                       for j in range(4))))
     k += 4 * _N_INT
-    return coef, vals[k:k + _N_INV + 2].tolist(), vals[k + _N_INV + 2:]
+    dual = vals[k + _N_INV + 2:]
+    dual_coef = list(zip([_DUAL_S0 + i * _DUAL_STEP for i in range(_DUAL_N)],
+                         *(dual[j::4] for j in range(4))))
+    return coef, vals[k:k + _N_INV + 2].tolist(), dual_coef
 
 
 def _load_tables() -> None:
@@ -235,8 +242,8 @@ def jfun(sigma: float) -> float:
     i = int(sigma * _INV_STEP)
     if i >= _N_INT:
         i = _N_INT - 1
-    u = sigma - i * _STEP
-    c0, c1, c2, c3 = _J_COEF[i]
+    x0, c0, c1, c2, c3 = _J_COEF[i]
+    u = sigma - x0
     y = c0 + u * (c1 + u * (c2 + u * c3))
     if y <= 0.0:
         return 0.0
@@ -250,8 +257,8 @@ def _jslope(x: float) -> float:
     i = int(x * _INV_STEP)
     if i >= _N_INT:
         i = _N_INT - 1
-    u = x - i * _STEP
-    _, c1, c2, c3 = _J_COEF[i]
+    x0, _, c1, c2, c3 = _J_COEF[i]
+    u = x - x0
     return c1 + u * (2.0 * c2 + 3.0 * c3 * u)
 
 
@@ -324,10 +331,9 @@ def jdual(s: float) -> float:
     i = int((s - _DUAL_S0) * _DUAL_INV_STEP)
     if i >= _DUAL_N:
         i = _DUAL_N - 1
-    u = s - (_DUAL_S0 + i * _DUAL_STEP)
-    coef = _DUAL_COEF
-    k = 4 * i
-    y = coef[k] + u * (coef[k + 1] + u * (coef[k + 2] + u * coef[k + 3]))
+    x0, c0, c1, c2, c3 = _DUAL_COEF[i]
+    u = s - x0
+    y = c0 + u * (c1 + u * (c2 + u * c3))
     return y if y > 0.0 else 0.0
 
 

@@ -198,10 +198,13 @@ def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
 
 def _iterate(code: BmstCode, plan: WindowPlan, act: _ActiveRows) -> None:
     """One sweep of the plan: each parity node, followed by the equality and
-    code node of its layer if the window holds one."""
+    code node of its layer if the window holds one.  Parity node t is left
+    out: its output is fixed for the window and computed before the first
+    sweep."""
     t = plan.position
     for s, edges in plan.sweep:
-        _plus_node(code, act, t, s, edges)
+        if s > t:
+            _plus_node(code, act, t, s, edges)
         if s <= plan.layer_end:
             _eq_c_node(code, act, s - t)
 
@@ -218,9 +221,10 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     Returns the hard decisions on the target layer's info bits and their APP
     LLRs, shaped like the batch's lead axes plus ``(K,)``.  The channel
     blocks and the decided layers' feedback stay fixed for the window, so
-    their ``tanh(x/2)`` terms are computed once, before the first sweep.
-    Each sweep writes one message buffer per direction while the other
-    keeps the previous sweep's messages.  Each trial stops on its own: once
+    their ``tanh(x/2)`` terms are computed once, before the first sweep, and
+    so is the output of parity node t, which reads nothing else.  Each
+    sweep writes one message buffer per direction while the other keeps the
+    previous sweep's messages.  Each trial stops on its own: once
     a sweep leaves every one of its messages unchanged (the two buffers
     agree), it sits at an exact fixed point and further sweeps would be
     no-ops, so it leaves the active set and later sweeps skip it.  Every
@@ -257,6 +261,11 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
     with np.errstate(divide="ignore"):  # atanh(+/-1), saturated by the clip
+        # Parity node t answers only the target layer, whose message it
+        # never reads, from the channel and the decided layers: its output
+        # is the same in every sweep, so both buffers get it once.
+        _plus_node(code, act, t, t, plan.sweep[0][1])
+        act.old_ppm[0, 0] = act.ppm[0, 0]
         for sweep in range(1, config.max_iters + 1):
             act.swap()
             _iterate(code, plan, act)

@@ -208,11 +208,15 @@ def test_wrapped_j_functions_see_every_call(monkeypatch):
                                               plain.windows_computed)
 
 
-# Fifteen runs, RC and SPC, m = 0-3, shortcut on and off; nine take the
-# steady-state shortcut and three fail (at layers 1, 3 and 6).  The last
-# four: an L=1000 run whose shortcut comes late; a run in which jdual takes
-# its jinv(1 - jfun(s)) path below s = 0.5; RC and SPC at 19 dB, where
-# weights are infinite.
+# Twenty-three runs, RC and SPC, m = 0-3, shortcut on and off; eleven take
+# the steady-state shortcut and five fail (at layers 1, 3 and 6, and two at
+# layer 0).  Among the first fifteen: an L=1000 run whose shortcut comes
+# late; a run in which jdual takes its jinv(1 - jfun(s)) path below s = 0.5;
+# RC and SPC at 19 dB, where weights are infinite.  The last eight, edges of
+# making a layer's rows when a window first holds it: two windows wider than
+# the chain (L = 3 and 4), two runs at L = 1, the two failures at layer 0,
+# and two shortcuts at the first window that may take one (the second with
+# d < m).
 GOLDEN_RUNS = json.loads(
     (Path(__file__).parent / "golden" / "exit_window_runs.json").read_text())
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import bmst
-from bmst.jfun import (SIGMA_MAX, TABLES_PATH, _read_tables, jdual, jfun,
-                       jfun_quad, jinv, qfunc, qfunc_inv, write_tables)
+from bmst.jfun import (_DUAL_END, _DUAL_INV_STEP, _DUAL_N, _DUAL_S0,
+                       _DUAL_STEP, _INV_STEP, _N_INT, _N_INV, _STEP,
+                       SIGMA_MAX, TABLES_PATH, _jslope, _read_tables, jdual,
+                       jfun, jfun_quad, jinv, qfunc, qfunc_inv, write_tables)
 
 LN2 = math.log(2.0)
 
@@ -102,6 +104,63 @@ def test_jdual_non_increasing():
 def test_jdual_is_an_involution():
     for s in np.linspace(0.5, 8.0, 400):
         assert jdual(jdual(float(s))) == pytest.approx(float(s), rel=1e-9)
+
+
+def flat_tables():
+    """The J spline's nodes, its coefficients c0..c3 as four rows, and the
+    duality table's (c0, c1, c2, c3) runs, read from the shipped file as
+    flat float64."""
+    vals = np.frombuffer(TABLES_PATH.read_bytes(), dtype="<f8").tolist()
+    k = _N_INT + 1
+    coef = [vals[k + j * _N_INT:k + (j + 1) * _N_INT] for j in range(4)]
+    return vals[:k], coef, vals[k + 4 * _N_INT + _N_INV + 2:]
+
+
+def flat_j(coef, x):
+    """J(x) and J'(x) read from the flat spline rows: the interval's
+    offset is ``x - i * _STEP`` and its coefficients four separate reads."""
+    if x >= SIGMA_MAX:
+        return 1.0, 0.0
+    i = min(int(x * _INV_STEP), _N_INT - 1)
+    u = x - i * _STEP
+    c0, c1, c2, c3 = (row[i] for row in coef)
+    y = c0 + u * (c1 + u * (c2 + u * c3))
+    y = 0.0 if y <= 0.0 else y if y < 1.0 else 1.0
+    return y, c1 + u * (2.0 * c2 + 3.0 * c3 * u)
+
+
+def flat_dual(coef, dual, s):
+    """The duality map read from the flat duality runs, with the offset
+    ``s - (_DUAL_S0 + i * _DUAL_STEP)``."""
+    if s < _DUAL_S0:
+        return jinv(1.0 - flat_j(coef, s)[0])
+    if s >= _DUAL_END:
+        return 0.0
+    i = min(int((s - _DUAL_S0) * _DUAL_INV_STEP), _DUAL_N - 1)
+    u = s - (_DUAL_S0 + i * _DUAL_STEP)
+    c0, c1, c2, c3 = dual[4 * i:4 * i + 4]
+    y = c0 + u * (c1 + u * (c2 + u * c3))
+    return y if y > 0.0 else 0.0
+
+
+def test_table_rows_replay_the_file():
+    # Each lookup reads one (x0, c0, c1, c2, c3) row; at every node, between
+    # nodes and at the ends, the rows give the values the flat file gives,
+    # bit for bit.  A row whose x0 or coefficients belong to the next
+    # interval changes every midpoint of its own.
+    nodes, coef, dual = flat_tables()
+    dual_nodes = [_DUAL_S0 + i * _DUAL_STEP for i in range(_DUAL_N + 1)]
+    points = nodes + dual_nodes
+    points += [x + 0.5 * _STEP for x in nodes[:-1]]
+    points += [x + 0.5 * _DUAL_STEP for x in dual_nodes[:-1]]
+    points += [math.nextafter(_DUAL_END, 0.0), math.nextafter(SIGMA_MAX, 0.0),
+               math.nextafter(_DUAL_S0, 0.0), 0.1234, 1e-9, math.inf]
+    got, want = [], []
+    for x in points:
+        j, slope = flat_j(coef, x)
+        want.append([j.hex(), slope.hex(), flat_dual(coef, dual, x).hex()])
+        got.append([jfun(x).hex(), _jslope(x).hex(), jdual(x).hex()])
+    assert got == want
 
 
 def test_qfunc():
