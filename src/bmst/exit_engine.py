@@ -25,15 +25,13 @@ join the sweep once the window holds the last layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basic_codes import RC, BerEstimate, SmallCode, ber_basic, exit_transfer_c
 from .channel import channel_mi, ebn0_to_sigma
 from .encoder import MAX_ITERS, coupled_rate, window_plan
-from .forked import Children, worker_count
 from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
 
 _INF = math.inf
@@ -128,8 +126,9 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     changing; ``steady_state_shortcut`` detects that and skips ahead, which
     is an exact shortcut up to ``FIXED_POINT_TOL``.
     """
-    if memory < 0 or coupling_len < 1 or delay < 0:
-        raise ValueError("need memory >= 0, coupling_len >= 1, delay >= 0")
+    if memory < 0 or coupling_len < 1 or delay < 0 or max_iters < 1:
+        raise ValueError("need memory >= 0, coupling_len >= 1, delay >= 0, "
+                         "max_iters >= 1")
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target BER must lie in (0, 0.5), got {target_ber}")
     m, d, L = memory, delay, coupling_len
@@ -311,12 +310,17 @@ class ThresholdQuery:
     max_iters: int = MAX_ITERS
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite,
+                       (self.lo_db, self.hi_db, self.resolution_db))):
+            raise ValueError("need finite lo_db, hi_db and resolution_db")
         if self.lo_db >= self.hi_db:
             raise ValueError("need lo_db < hi_db")
         if self.resolution_db <= 0.0:
             raise ValueError("resolution must be positive")
         if not 0.0 < self.target_ber < 0.5:
             raise ValueError("target BER must lie in (0, 0.5)")
+        if self.max_iters < 1:
+            raise ValueError("need max_iters >= 1")
 
 
 @dataclass
@@ -324,34 +328,7 @@ class ThresholdResult:
     ebn0_star_db: float
     sigma_star: float
     rate: float
-    query: ThresholdQuery
-    evaluations: list[tuple[float, bool]] = field(default_factory=list)
-
-
-def _bisection_point(query: ThresholdQuery,
-                     outcomes: list[bool]) -> float | None:
-    """The Eb/N0 the bisection evaluates after its evaluations so far
-    returned ``outcomes``: ``lo_db``, then ``hi_db``, then the middle of the
-    interval those outcomes leave, until that is no wider than the
-    resolution or its middle rounds onto one of its ends (the ends are
-    adjacent floats); None once the search is done."""
-    if len(outcomes) < 2:
-        return (query.lo_db, query.hi_db)[len(outcomes)]
-    lo, hi = query.lo_db, query.hi_db
-    for ok in outcomes[2:]:
-        mid = 0.5 * (lo + hi)
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-    mid = 0.5 * (lo + hi)
-    return mid if hi - lo > query.resolution_db and lo < mid < hi else None
-
-
-def _expected(index: int) -> bool:
-    """The outcome speculation assumes for a search's ``index``-th
-    evaluation: ``lo_db`` fails and every later point passes."""
-    return index > 0
+    evaluations: list[tuple[float, bool]]
 
 
 def threshold_search(query: ThresholdQuery) -> ThresholdResult:
@@ -361,67 +338,35 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     Raises :class:`BracketError` unless the run fails at ``lo_db`` and
     succeeds at ``hi_db``.  Every failure then lies below every success:
     each failure becomes the interval's lower end and each success its
-    upper end, and each point evaluated lies strictly between the two.
-
-    The search uses W processes, W being the number of CPUs in the
-    process's affinity mask.  This process runs the point the bisection
-    needs next while W - 1 children, each forked for one point alone, run
-    the points that follow if that point and each after it turn out as
-    expected: ``lo_db`` fails and every later point passes, so the children
-    run ``hi_db`` or the chain of midpoints toward ``lo``.  Their results
-    are read in order while the path stays as expected; at the first point
-    that does not, the children still running are terminated and joined.
-    Every run is deterministic, and ``evaluations`` holds only the points
-    the bisection needs, in its order, so neither it nor the threshold
-    depends on W.  With W = 1 the same loop forks nothing.  A child that
-    fails or dies on a needed point raises a ``RuntimeError`` naming it.
+    upper end, and each point evaluated lies strictly between the two.  The
+    search ends once the interval is no wider than the resolution or its
+    middle rounds onto one of its ends (the ends are adjacent floats).
     """
     evals: list[tuple[float, bool]] = []
-    outcomes: list[bool] = []
-    workers = worker_count()
 
     def succeeds(db: float) -> bool:
-        return exit_window_run(query.small, query.memory, query.delay,
-                               query.coupling_len, db, query.target_ber,
-                               query.max_iters).success
-
-    def record(db: float, ok: bool) -> None:
+        ok = exit_window_run(query.small, query.memory, query.delay,
+                             query.coupling_len, db, query.target_ber,
+                             query.max_iters).success
         evals.append((db, ok))
-        outcomes.append(ok)
-        if len(outcomes) == 1 and ok:
-            raise BracketError(f"analysis already succeeds at lo = "
-                               f"{query.lo_db} dB; widen downward")
-        if len(outcomes) == 2 and not ok:
-            raise BracketError(f"analysis still fails at hi = "
-                               f"{query.hi_db} dB; widen upward")
+        return ok
 
-    def name(db: float) -> str:
-        return f"threshold run at Eb/N0 = {db!r} dB"
-
-    with Children() as children:
-        while (db := _bisection_point(query, outcomes)) is not None:
-            assumed = outcomes + [_expected(len(outcomes))]
-            ahead = []
-            while len(ahead) < workers - 1:
-                point = _bisection_point(query, assumed)
-                if point is None:
-                    break
-                children.start(name(point), partial(succeeds, point))
-                ahead.append(point)
-                assumed.append(_expected(len(assumed)))
-            record(db, succeeds(db))
-            # While every outcome so far is the assumed one, the next
-            # child's point is the one the bisection needs.
-            for point in ahead:
-                if outcomes[-1] != _expected(len(outcomes) - 1):
-                    break
-                record(point, children.result(name(point)))
-            children.cancel_all()
-    best_pass = min(db for db, ok in evals if ok)
+    lo, hi = query.lo_db, query.hi_db
+    if succeeds(lo):
+        raise BracketError(f"analysis already succeeds at lo = {lo} dB; "
+                           "widen downward")
+    if not succeeds(hi):
+        raise BracketError(f"analysis still fails at hi = {hi} dB; "
+                           "widen upward")
+    while (hi - lo > query.resolution_db
+           and lo < (mid := 0.5 * (lo + hi)) < hi):
+        if succeeds(mid):
+            hi = mid
+        else:
+            lo = mid
     rate = float(coupled_rate(query.small.k, query.small.n,
                               query.memory, query.coupling_len))
-    return ThresholdResult(best_pass, ebn0_to_sigma(best_pass, rate), rate,
-                           query, evals)
+    return ThresholdResult(hi, ebn0_to_sigma(hi, rate), rate, evals)
 
 
 def genie_lower_bound(small: SmallCode, memory: int, coupling_len: int,

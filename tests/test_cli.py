@@ -380,7 +380,7 @@ def test_threshold_golden_replays_bit_exactly():
 
 
 def count_window_runs(monkeypatch, tmp_path):
-    """Log the pid of each MI window run, in this process or a child."""
+    """Log the pid of each MI window run."""
     log = tmp_path / "runs.txt"
     run = exit_engine.exit_window_run
 
@@ -398,9 +398,9 @@ def count_window_runs(monkeypatch, tmp_path):
     ["threshold-vs-l", "--code", "spc:4", "--memory", "1,2", "--length",
      "8,16", "--target-ber", "1e-2", "--snr=-2:10:0.05"],
 ], ids=["threshold-vs-target", "threshold-vs-l"])
-def test_cpu_count_cannot_change_a_threshold_csv(monkeypatch, tmp_path, argv):
-    # with 2 CPUs a child runs the next point a search needs if the current
-    # one passes
+def test_threshold_runs_fork_nothing(monkeypatch, tmp_path, argv):
+    # a threshold search bisects serially in this process, whatever the
+    # number of CPUs
     log = count_window_runs(monkeypatch, tmp_path)
     spec = spec_from_args(argv)
     texts = []
@@ -409,7 +409,8 @@ def test_cpu_count_cannot_change_a_threshold_csv(monkeypatch, tmp_path, argv):
                             lambda pid, cpus=cpus: set(range(cpus)))
         log.write_text("")
         texts.append(strip_timestamp(harness.run_spec(spec)[0]))
-        assert (len(set(log.read_text().split())) > 1) == (cpus > 1)
+        pids = log.read_text().split()
+        assert pids and set(pids) == {str(os.getpid())}
     assert texts[1] == texts[0]
     if argv is THRESHOLD_RUN:
         assert texts[0] == strip_timestamp(THRESHOLD_GOLDEN.read_text())
@@ -417,24 +418,32 @@ def test_cpu_count_cannot_change_a_threshold_csv(monkeypatch, tmp_path, argv):
 
 # The commands the benchmark times, and the SPC genie bound of ber and
 # bound; importing scipy would be most of their start-up time, and
-# multiprocessing, which only work split across CPUs (a ber batch or a
-# threshold search) needs, a tenth of it.  The check goes by what was
-# imported, not by timing.
+# multiprocessing, which only a ber batch split across CPUs needs, a tenth
+# of it.  A threshold search forks nothing, so it imports no
+# multiprocessing.  The check goes by what was imported, not by timing.
 NO_SCIPY_RUNS = """
 import sys
 import bmst.cli
-print(sorted(name for name in sys.modules
-             if name.split(".")[0] in ("multiprocessing", "concurrent")))
+
+
+def imported(*packages):
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] in packages)
+
+
+print(imported("multiprocessing", "concurrent"))
 from bmst.harness import run_spec
-for argv in (["ber", "--code", "rc:2", "--cart", "4", "--memory", "1",
-              "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"],
-             ["threshold-vs-l", "--code", "rc:2", "--memory", "1",
+for argv in (["threshold-vs-l", "--code", "rc:2", "--memory", "1",
               "--length", "10"],
+             ["ber", "--code", "rc:2", "--cart", "4", "--memory", "1",
+              "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"],
              ["bound", "--code", "spc:4", "--snr", "4:5:1"],
              ["ber", "--code", "spc:3", "--cart", "4", "--memory", "1",
               "--length", "5", "--snr", "4:4:1", "--max-bits", "2000"]):
     assert run_spec(bmst.cli.spec_from_args(argv))[1] == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    if argv[0] == "threshold-vs-l":
+        assert imported("multiprocessing") == []
+print(imported("scipy"))
 """
 
 

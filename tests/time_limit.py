@@ -1,4 +1,4 @@
-"""A bound on how long a test may wait, for the tests of forked children."""
+"""A bound on how long a test may wait, so that a hang fails the test."""
 
 import signal
 from contextlib import contextmanager
