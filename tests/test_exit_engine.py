@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -310,7 +311,19 @@ GOLDEN_SEARCHES = json.loads(
     .read_text())
 
 
-def test_searches_replay_the_golden_file():
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_cpu_count_cannot_change_a_search(monkeypatch, cpus):
+    # the bisection runs serially in this process: whatever the number of
+    # CPUs, each search replays its recorded points and forks nothing
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    pids, run = set(), exit_engine.exit_window_run
+
+    def logged(*args):
+        pids.add(os.getpid())
+        return run(*args)
+
+    monkeypatch.setattr(exit_engine, "exit_window_run", logged)
     for entry in GOLDEN_SEARCHES:
         kind, n = entry["code"].split(":")
         query = ThresholdQuery(make_small_code(kind, int(n)), entry["memory"],
@@ -325,6 +338,7 @@ def test_searches_replay_the_golden_file():
         else:
             assert [[g.hex(), ok] for g, ok in res.evaluations] == \
                 entry["evaluations"]
+    assert pids == {os.getpid()}
 
 
 class TestGenieBound:
