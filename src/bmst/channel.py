@@ -19,6 +19,18 @@ from .llr import LLR_CLIP, clip_llr
 NOISE_ALGORITHM = "ziggurat/pcg64"
 #: Bisection tolerance of :func:`bpsk_capacity_ebn0_db`, in dB.
 CAPACITY_TOL_DB = 1e-6
+#: Largest |Eb/N0| (dB) an SNR sweep, threshold bracket or analysis run may
+#: reach.  Far past it 10**(Eb/N0 / 10) leaves the float range: it
+#: overflows above about 3,082 dB and rounds to 0 below about -3,240 dB.
+MAX_ABS_SNR_DB = 400.0
+
+
+def check_ebn0_db(ebn0_db: float, name: str = "Eb/N0") -> None:
+    """Raise ``ValueError`` unless ``ebn0_db`` is finite and lies within
+    +/-``MAX_ABS_SNR_DB``."""
+    if not abs(ebn0_db) <= MAX_ABS_SNR_DB:  # False for NaN too
+        raise ValueError(f"{name} must be finite and lie within "
+                         f"+/-{MAX_ABS_SNR_DB} dB, got {ebn0_db}")
 
 
 def ebn0_to_sigma(ebn0_db: float, rate: float) -> float:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic_codes import RC, BerEstimate, SmallCode, ber_basic, exit_transfer_c
-from .channel import channel_mi, ebn0_to_sigma
+from .channel import (MAX_ABS_SNR_DB, channel_mi, check_ebn0_db,
+                      ebn0_to_sigma)
 from .encoder import MAX_ITERS, coupled_rate, window_plan
 from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
 
@@ -131,6 +132,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                          "max_iters >= 1")
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target BER must lie in (0, 0.5), got {target_ber}")
+    check_ebn0_db(ebn0_db)
     m, d, L = memory, delay, coupling_len
     rate = float(coupled_rate(small.k, small.n, m, L))
     i_ch = channel_mi(ebn0_db, rate)
@@ -310,13 +312,12 @@ class ThresholdQuery:
     max_iters: int = MAX_ITERS
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite,
-                       (self.lo_db, self.hi_db, self.resolution_db))):
-            raise ValueError("need finite lo_db, hi_db and resolution_db")
+        check_ebn0_db(self.lo_db, "lo_db")
+        check_ebn0_db(self.hi_db, "hi_db")
         if self.lo_db >= self.hi_db:
             raise ValueError("need lo_db < hi_db")
-        if self.resolution_db <= 0.0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < self.resolution_db < math.inf:
+            raise ValueError("resolution must be positive and finite")
         if not 0.0 < self.target_ber < 0.5:
             raise ValueError("target BER must lie in (0, 0.5)")
         if self.max_iters < 1:
@@ -380,6 +381,7 @@ def genie_lower_bound(small: SmallCode, memory: int, coupling_len: int,
     """
     if memory < 0 or coupling_len < 1:
         raise ValueError("need memory >= 0 and coupling_len >= 1")
+    check_ebn0_db(ebn0_db)
     shifted = (ebn0_db + 10.0 * math.log10(memory + 1)
                - 10.0 * math.log10(1.0 + memory / coupling_len))
     return ber_basic(small, shifted)
@@ -388,7 +390,9 @@ def genie_lower_bound(small: SmallCode, memory: int, coupling_len: int,
 def genie_bound_ebn0_at_target(small: SmallCode, memory: int,
                                coupling_len: int, target_ber: float) -> float:
     """Eb/N0 (dB) at which the genie-aided bound equals the target BER;
-    SPC codes bisect the bound to ``GENIE_RESOLUTION_DB``."""
+    SPC codes bisect the bound to ``GENIE_RESOLUTION_DB`` between 40 dB and
+    a lower end at which the bound is above the target: -10 dB, or 10 dB
+    steps below it, to -``MAX_ABS_SNR_DB`` at most."""
     if not 0.0 < target_ber < 0.5:
         raise ValueError("target BER must lie in (0, 0.5)")
     correction = (10.0 * math.log10(memory + 1)
@@ -398,6 +402,9 @@ def genie_bound_ebn0_at_target(small: SmallCode, memory: int,
         x = 0.5 * qfunc_inv(target_ber) ** 2
         return 10.0 * math.log10(x) - correction
     lo, hi = -10.0, 40.0
+    while (lo > -MAX_ABS_SNR_DB and genie_lower_bound(
+            small, memory, coupling_len, lo).ber <= target_ber):
+        lo -= 10.0
     while hi - lo > GENIE_RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
         if genie_lower_bound(small, memory, coupling_len, mid).ber > target_ber:

@@ -1,9 +1,9 @@
 """Deterministic work spread over the CPUs this process may run on.
 
-Each piece of work runs in a child forked for it alone, which sends one
-``(ok, value)`` message back over a one-way pipe and exits; there is no
-pool.  fork and not spawn: a spawned child would import numpy and rebuild
-its inputs for every task, and the program starts no threads.
+Each piece of work but the first runs in a child forked for it alone, which
+sends one ``(ok, value)`` message back over a one-way pipe and exits; there
+is no pool.  fork and not spawn: a spawned child would import numpy and
+rebuild its inputs for every task, and the program starts no threads.
 ``multiprocessing`` is imported only when it is needed.
 """
 
@@ -12,16 +12,14 @@ from __future__ import annotations
 import os
 
 
-def worker_count(cap: int | None = None) -> int:
+def worker_count(cap: int) -> int:
     """Processes to spread work across: the CPUs in this process's affinity
     mask, at most ``cap``.  It is 1 where ``fork`` or the affinity mask does
     not exist, and in a daemonic process such as a pool worker, which
     multiprocessing lets have no children."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    if cap is not None:
-        cpus = min(cpus, cap)
+    cpus = min(len(os.sched_getaffinity(0)), cap)
     if cpus > 1:
         import multiprocessing
         if multiprocessing.current_process().daemon:
@@ -42,57 +40,49 @@ def _child_result(task, conn) -> None:
     conn.close()
 
 
-class Children:
-    """Children forked one per task, each known by the name it was started
-    under.  Leaving the ``with`` block terminates every child whose result
-    was not read and joins them all, so none outlives the block."""
-
-    def __init__(self) -> None:
-        self._live: dict[str, tuple] = {}
-
-    def __enter__(self) -> Children:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.cancel_all()
-
-    def start(self, name: str, task) -> None:
-        """Fork a child that runs ``task()``."""
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_child_result, args=(task, send))
-        proc.start()
-        self._live[name] = (proc, recv)
-        # Only the child may hold the write end, so its exit ends the pipe
-        # and a read never blocks on a dead child.
-        send.close()
-
-    def result(self, name: str):
-        """What the child started as ``name`` returned.  Waits for it, and
-        raises a ``RuntimeError`` naming it if it raised or died without a
-        result."""
-        proc, recv = self._live[name]
-        try:
-            ok, value = recv.recv()
-        except EOFError:
-            ok, value = None, None
-        del self._live[name]
-        proc.join()
-        recv.close()
-        if ok is None:
-            raise RuntimeError(f"{name}: its child exited with code "
-                               f"{proc.exitcode} without a result")
-        if not ok:
-            raise RuntimeError(f"{name} failed in its child:\n{value}")
-        return value
-
-    def cancel_all(self) -> None:
-        """Terminate every child whose result was not read, and join it."""
-        for proc, _ in self._live.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc, recv in self._live.values():
+def forked_sum(tasks: list) -> int:
+    """Sum of ``task()`` over ``tasks``, the chunks of one ``ber`` batch:
+    the first runs here, every other one in a child forked for it alone,
+    and the children's results are read in chunk order.  Every child is
+    joined before this returns or raises; one whose result was not read is
+    terminated first.  A child that fails or dies without a result raises a
+    ``RuntimeError`` naming its chunk."""
+    if len(tasks) == 1:
+        return tasks[0]()
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    unread = []
+    try:
+        for task in tasks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child_result, args=(task, send))
+            proc.start()
+            unread.append((proc, recv))
+            # Only the child may hold the write end, so its exit ends the
+            # pipe and a read never blocks on a dead child.
+            send.close()
+        total = tasks[0]()
+        for index in range(1, len(tasks)):
+            proc, recv = unread[0]
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                ok = None
+            del unread[0]
             proc.join()
             recv.close()
-        self._live.clear()
+            if ok is None:
+                raise RuntimeError(f"BER chunk {index}: its child exited with "
+                                   f"code {proc.exitcode} without a result")
+            if not ok:
+                raise RuntimeError(f"BER chunk {index} failed in its "
+                                   f"child:\n{value}")
+            total += value
+        return total
+    finally:
+        for proc, _ in unread:
+            if proc.is_alive():
+                proc.terminate()
+        for proc, recv in unread:
+            proc.join()
+            recv.close()

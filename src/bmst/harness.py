@@ -18,24 +18,20 @@ import numpy as np
 
 from . import __version__
 from .basic_codes import SmallCode, cartesian, make_small_code
-from .channel import (NOISE_ALGORITHM, bpsk_capacity_ebn0_db, ebn0_to_sigma,
-                      llr_demap, transmit)
+from .channel import (MAX_ABS_SNR_DB, NOISE_ALGORITHM, bpsk_capacity_ebn0_db,
+                      ebn0_to_sigma, llr_demap, transmit)
 from .encoder import (MAX_ITERS, PERM_ALGORITHM, build_bmst, coupled_rate,
                       encode_bmst, rate_bmst)
 from .exit_engine import (BracketError, ThresholdQuery,
                           genie_bound_ebn0_at_target, genie_lower_bound,
                           threshold_search)
-from .forked import Children, worker_count
+from .forked import forked_sum, worker_count
 from .window_decoder import DecoderConfig, decode_sequence
 
 #: Codewords decoded per batch; recorded in metadata, fixed for determinism.
 BATCH_CODEWORDS = 32
 #: Most points an SNR sweep (``ber``, ``bound``) may hold.
 MAX_SNR_POINTS = 10_000
-#: Largest |Eb/N0| (dB) an SNR sweep or threshold bracket may reach.  Far
-#: past it 10**(Eb/N0 / 10) leaves the float range: it overflows above
-#: about 3,082 dB and rounds to 0 below about -3,240 dB.
-MAX_ABS_SNR_DB = 400.0
 #: Most values one ``ber`` or ``encode`` frame may hold: its (L + m)*n*B
 #: code bits and, for ``ber``, each buffer of a window's messages, w*(m +
 #: 1)*n*B values for a window of w = min(d + 1, L) layers.  At the bound a
@@ -118,8 +114,12 @@ class ExperimentSpec:
             raise SpecError("need snr_lo <= snr_hi and snr_step > 0")
         if self.command.startswith("threshold") and self.snr_hi <= self.snr_lo:
             raise SpecError("threshold searches need snr_lo < snr_hi")
-        if self.command in ("ber", "bound"):
-            self.snr_points()  # raises for a sweep that is too long
+        # snr_points raises for a sweep that is too long; its last point may
+        # pass snr_hi by up to 1e-9 dB.
+        if (self.command in ("ber", "bound")
+                and (last := self.snr_points()[-1]) > MAX_ABS_SNR_DB):
+            raise SpecError(f"an SNR sweep may reach at most {MAX_ABS_SNR_DB} "
+                            f"dB, got {last}")
         if not self.targets or any(not 0.0 < t < 0.5 for t in self.targets):
             raise SpecError(f"targets must lie in (0, 0.5), got {self.targets}")
         if self.max_bits < 1 or self.max_errors < 1:
@@ -245,20 +245,6 @@ def _chunk_bit_errors(code, sigma: float, config: DecoderConfig, seed: int,
     return int((dec != info).sum())
 
 
-def _forked_sum(tasks: list) -> int:
-    """Sum of ``task()`` over ``tasks``: the first runs here, every other
-    one in a child forked for it alone.  The children are joined before
-    this returns or raises, and a child that fails or dies without a
-    result raises a ``RuntimeError`` naming its chunk."""
-    with Children() as children:
-        for index, task in enumerate(tasks[1:], 1):
-            children.start(f"BER chunk {index}", task)
-        total = tasks[0]()
-        for index in range(1, len(tasks)):
-            total += children.result(f"BER chunk {index}")
-    return total
-
-
 def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
                        point_index: int) -> BerPoint:
     """Monte Carlo BER at one SNR point under the window decoder.
@@ -292,7 +278,7 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
         chunks = [partial(_chunk_bit_errors, code, sigma, config, spec.seed,
                           point_index, range(lo, hi))
                   for lo, hi in zip(cuts, cuts[1:])]
-        errors += _forked_sum(chunks)
+        errors += forked_sum(chunks)
         bits_done += nb * code.info_bits
         trial += nb
     ber = errors / bits_done if bits_done else 0.0

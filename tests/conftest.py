@@ -7,7 +7,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """``bmst ber`` forks children for one Monte Carlo batch at a time;
-    none may outlive the call that started it."""
+    """``bmst ber`` forks children for one Monte Carlo batch at a time
+    through ``bmst.forked.forked_sum``; none may outlive that call."""
     yield
     assert multiprocessing.active_children() == []

@@ -210,6 +210,7 @@ def test_non_finite_snr_is_an_invalid_spec(snr):
     ["threshold-vs-l", "--snr=-5:3100:50", "--length", "4", "--memory", "1"],
     ["bound", "--snr=400.5:401:1"],
     ["ber", "--snr=-401:-400:1"],
+    ["bound", "--snr=0:400:400.000000001"],  # its last point passes 400 dB
 ])
 def test_snr_beyond_the_bound_exits_2(capsys, argv):
     assert main(argv) == 2

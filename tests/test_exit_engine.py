@@ -11,7 +11,7 @@ import bmst.exit_engine as exit_engine
 import bmst.window_decoder as wd
 from bmst.basic_codes import (ber_basic, cartesian, exit_transfer_c,
                               make_small_code)
-from bmst.channel import channel_mi, ebn0_to_sigma
+from bmst.channel import MAX_ABS_SNR_DB, channel_mi, ebn0_to_sigma
 from bmst.encoder import build_bmst
 from bmst.exit_engine import (BracketError, ThresholdQuery, ber_estimate,
                               convergence_check, exit_window_run,
@@ -163,6 +163,11 @@ class TestExitWindowRun:
         for max_iters in (0, -3):
             with pytest.raises(ValueError, match="max_iters"):
                 exit_window_run(RC2, 1, 3, 10, 5.0, 1e-3, max_iters)
+        # 10**(Eb/N0 / 10) overflows far past +/-MAX_ABS_SNR_DB
+        for ebn0_db in (math.nan, math.inf, -math.inf, 5000.0, -5000.0,
+                        MAX_ABS_SNR_DB + 1.0):
+            with pytest.raises(ValueError, match="Eb/N0"):
+                exit_window_run(RC2, 1, 3, 10, ebn0_db, 1e-3)
 
 
 @pytest.mark.parametrize("m,d", [(1, 0), (2, 1), (2, 4), (3, 2)])
@@ -297,7 +302,8 @@ class TestThresholdSearch:
         for bad in (dict(lo_db=math.nan), dict(hi_db=math.inf),
                     dict(lo_db=-math.inf), dict(resolution_db=math.nan),
                     dict(resolution_db=math.inf), dict(max_iters=0),
-                    dict(max_iters=-3)):
+                    dict(max_iters=-3), dict(hi_db=5000.0),
+                    dict(lo_db=-5000.0), dict(hi_db=MAX_ABS_SNR_DB + 1.0)):
             with pytest.raises(ValueError):
                 replace(good, **bad)
 
@@ -377,6 +383,18 @@ class TestGenieBound:
                              (1e-7, 6.870)]:
             got = genie_bound_ebn0_at_target(SPC4, 1, 1000, target)
             assert abs(got - want) <= exit_engine.GENIE_RESOLUTION_DB
+
+    def test_spc_bound_at_a_target_above_the_bound_at_minus_10_db(self):
+        # the bound is 0.2897 at -10 dB, so the bisection must start lower
+        g = genie_bound_ebn0_at_target(SPC4, 1, 50, 0.3)
+        assert genie_lower_bound(SPC4, 1, 50, g - 0.01).ber > 0.3
+        assert genie_lower_bound(SPC4, 1, 50, g + 0.01).ber <= 0.3
+
+    def test_validation(self):
+        for ebn0_db in (math.nan, math.inf, 5000.0, -5000.0,
+                        -MAX_ABS_SNR_DB - 1.0):
+            with pytest.raises(ValueError, match="Eb/N0"):
+                genie_lower_bound(RC2, 1, 10, ebn0_db)
 
     def test_monotone_decreasing_in_snr(self):
         vals = [genie_lower_bound(RC2, 2, 500, g).ber for g in np.arange(0, 8, 0.5)]

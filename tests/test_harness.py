@@ -166,15 +166,23 @@ def decoder_breaks():
     raise ValueError("decoder broke")
 
 
-@pytest.mark.parametrize("in_child, fail, error, match", [
-    (True, decoder_breaks, RuntimeError,
+FAILED_CHUNKS = [
+    ("child-raises", True, decoder_breaks, RuntimeError,
      r"(?s)BER chunk 1 failed in its child.*decoder broke"),
-    (True, lambda: os._exit(1), RuntimeError,
+    ("child-dies", True, lambda: os._exit(1), RuntimeError,
      "BER chunk 1: its child exited with code 1 without a result"),
-    (False, decoder_breaks, ValueError, "decoder broke"),
-], ids=["child-raises", "child-dies", "parent-raises"])
-def test_failed_chunk_fails_loudly_and_leaves_no_child(monkeypatch, in_child,
-                                                       fail, error, match):
+    ("parent-raises", False, decoder_breaks, ValueError, "decoder broke"),
+]
+
+
+# At 3 CPUs chunk 2's child is still unread when the error is raised, so
+# the cleanup of unread children terminates and joins it.
+@pytest.mark.parametrize("cpus, in_child, fail, error, match", [
+    pytest.param(cpus, *case, id=name if cpus == 2 else f"{name}-3cpus")
+    for cpus in (2, 3) for name, *case in FAILED_CHUNKS])
+def test_failed_chunk_fails_loudly_and_leaves_no_child(monkeypatch, cpus,
+                                                       in_child, fail, error,
+                                                       match):
     # a module function patched here is inherited through fork
     parent, decode = os.getpid(), harness.decode_sequence
 
@@ -183,7 +191,7 @@ def test_failed_chunk_fails_loudly_and_leaves_no_child(monkeypatch, in_child,
             fail()
         return decode(*args)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(harness, "decode_sequence", failing)
     with time_limit(60), pytest.raises(error, match=match):
         simulate_ber_point(tiny_ber_spec(), 4.0, 0)
