@@ -41,6 +41,17 @@ _INF = math.inf
 FIXED_POINT_TOL = 1e-14
 #: Bisection step of the Eb/N0 at which the SPC genie bound meets a target.
 GENIE_RESOLUTION_DB = 0.01
+#: The smallest nonzero BER estimate, ``ber_estimate(1 - 2**-53)``: J^-1 of
+#: the largest MI below 1 is 16.885, and an MI that rounds to 1 estimates 0.
+#: Every target at or below it gets the same threshold, so none is taken.
+MIN_TARGET_BER = 1.5531071206800548e-17
+
+
+def check_target_ber(target_ber: float) -> None:
+    """Raise ValueError unless the MI-to-BER map can resolve the target."""
+    if not MIN_TARGET_BER < target_ber < 0.5:
+        raise ValueError(f"target BER must lie in ({MIN_TARGET_BER}, 0.5), "
+                         f"got {target_ber}")
 
 
 def mi_ap(i_a: float, i_e: float) -> float:
@@ -130,8 +141,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     if memory < 0 or coupling_len < 1 or delay < 0 or max_iters < 1:
         raise ValueError("need memory >= 0, coupling_len >= 1, delay >= 0, "
                          "max_iters >= 1")
-    if not 0.0 < target_ber < 0.5:
-        raise ValueError(f"target BER must lie in (0, 0.5), got {target_ber}")
+    check_target_ber(target_ber)
     check_ebn0_db(ebn0_db)
     m, d, L = memory, delay, coupling_len
     rate = float(coupled_rate(small.k, small.n, m, L))
@@ -318,8 +328,7 @@ class ThresholdQuery:
             raise ValueError("need lo_db < hi_db")
         if not 0.0 < self.resolution_db < math.inf:
             raise ValueError("resolution must be positive and finite")
-        if not 0.0 < self.target_ber < 0.5:
-            raise ValueError("target BER must lie in (0, 0.5)")
+        check_target_ber(self.target_ber)
         if self.max_iters < 1:
             raise ValueError("need max_iters >= 1")
 

@@ -22,7 +22,7 @@ from .channel import (MAX_ABS_SNR_DB, NOISE_ALGORITHM, bpsk_capacity_ebn0_db,
                       ebn0_to_sigma, llr_demap, transmit)
 from .encoder import (MAX_ITERS, PERM_ALGORITHM, build_bmst, coupled_rate,
                       encode_bmst, rate_bmst)
-from .exit_engine import (BracketError, ThresholdQuery,
+from .exit_engine import (MIN_TARGET_BER, BracketError, ThresholdQuery,
                           genie_bound_ebn0_at_target, genie_lower_bound,
                           threshold_search)
 from .forked import forked_sum, worker_count
@@ -120,8 +120,10 @@ class ExperimentSpec:
                 and (last := self.snr_points()[-1]) > MAX_ABS_SNR_DB):
             raise SpecError(f"an SNR sweep may reach at most {MAX_ABS_SNR_DB} "
                             f"dB, got {last}")
-        if not self.targets or any(not 0.0 < t < 0.5 for t in self.targets):
-            raise SpecError(f"targets must lie in (0, 0.5), got {self.targets}")
+        if not self.targets or any(not MIN_TARGET_BER < t < 0.5
+                                   for t in self.targets):
+            raise SpecError(f"targets must lie in ({MIN_TARGET_BER}, 0.5), "
+                            f"got {self.targets}")
         if self.max_bits < 1 or self.max_errors < 1:
             raise SpecError("trial budget must be positive")
 
@@ -338,14 +340,14 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
     genie-aided bound reaches each target.
 
     Without an explicit delay list, each memory m contributes rows for both
-    d = m and d = 3m.
+    d = m and d = 3m, one set when they are equal (m = 0).
     """
     spec.validate()
     small = make_small_code(spec.kind, spec.n)
     L = spec.length
     rows = []
     for m in spec.memories:
-        delays = spec.delays if spec.delays else (m, 3 * m)
+        delays = spec.delays if spec.delays else dict.fromkeys((m, 3 * m))
         # The bound does not depend on the delay.
         bounds = [genie_bound_ebn0_at_target(small, m, L, target)
                   for target in spec.targets]

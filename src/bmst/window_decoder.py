@@ -8,12 +8,12 @@ spans layers t..t+d; the first layer is the target and is the only one
 decided before the window shifts.
 
 Each window runs the schedule of :func:`bmst.encoder.window_plan`, which
-the MI analysis runs too.  Messages from decided layers left of the window
-are saturated at the clip magnitude according to the decided bits; edges
-toward the known all-zero codewords past either end of the chain drop
-out.  Parity nodes of the m tail blocks past the last layer carry real
-channel observations and are processed once the window holds the last
-layer.
+the MI analysis runs too.  A decided layer left of the window is certain:
+its re-encoded codeword enters each parity node it touches as signs, which
+flip that node's channel term; edges toward the known all-zero codewords
+past either end of the chain drop out.  Parity nodes of the m tail blocks
+past the last layer carry real channel observations and are processed once
+the window holds the last layer.
 
 All arrays accept leading batch axes, so many independent noise
 realizations decode through the same vectorized operations.  Within a
@@ -34,7 +34,7 @@ import numpy as np
 
 from .basic_codes import encode_basic, siso_decode_basic
 from .encoder import BmstCode, WindowPlan, window_plan
-from .llr import LLR_CLIP, clip_llr, leave_one_out_boxplus, tanh_half
+from .llr import clip_llr, leave_one_out_boxplus, tanh_half
 
 #: Sweeps between the message states a trial's later states are compared
 #: with; a limit cycle of at most this period is found.
@@ -59,12 +59,10 @@ class DecoderConfig:
 class _ActiveRows:
     """Window-local arrays of the trials that are still iterating.
 
-    The trial axis sits after the layer axes.  The terms that stay fixed for
-    the whole window enter the parity nodes only through their
-    ``tanh(x/2)``, computed once, when the window starts: ``channel_th[k]``
-    is that of block ``position + k``, ``feedback[x, j]`` that of decided
-    layer ``x`` as parity node ``x + j`` sees it (already permuted by
-    ``perms[j]``).
+    The trial axis sits after the layer axes.  ``fixed[k]`` is the one
+    term of parity node ``position + k`` that stays fixed for the whole
+    window, computed when the window starts: the ``tanh(x/2)`` of its
+    channel block times the signs of its decided edges.
 
     ``epm[w, i]``, shaped ``(trials, N)``, is the message from the equality
     node of layer ``position + w`` toward parity node ``position + w + i``;
@@ -79,8 +77,7 @@ class _ActiveRows:
     """
 
     rows: np.ndarray
-    channel_th: np.ndarray
-    feedback: dict[tuple[int, int], np.ndarray]
+    fixed: np.ndarray
     epm: np.ndarray
     ppm: np.ndarray
     old_epm: np.ndarray
@@ -95,8 +92,7 @@ class _ActiveRows:
         in memory at a time."""
         self.rows = self.rows[keep]
         self.stop = self.stop[keep]
-        self.channel_th = self.channel_th[:, keep]
-        self.feedback = {key: th[keep] for key, th in self.feedback.items()}
+        self.fixed = self.fixed[:, keep]
         self.epm = self.epm[:, :, keep]
         self.old_epm = self.old_epm[:, :, keep]
         self.ppm = self.ppm[:, :, keep]
@@ -110,19 +106,18 @@ class _ActiveRows:
         self.saved_at = sweep
 
     def find_cycles(self, sweep: int, max_iters: int) -> None:
-        """Set ``stop`` of each trial whose state after ``sweep`` equals,
-        bit for bit, its state at the checkpoint.
+        """Set ``stop`` of each trial whose state after ``sweep`` equals its
+        state at the checkpoint.
 
-        A sweep is a function of the state the previous one left and of
-        the window's fixed terms, so such a trial repeats its states with
-        period p = ``sweep - saved_at``.  Its state after ``max_iters``
-        sweeps is then the one after ``sweep + (max_iters - sweep) % p``,
-        at most p - 1 sweeps on.  The comparison is of the bits, so +0.0
-        and -0.0 differ.
+        Every step of a sweep maps states equal by value to states equal by
+        value (a zero's sign changes no nonzero result), so such a trial
+        repeats its states by value with period p = ``sweep - saved_at``.
+        Its state after ``max_iters`` sweeps is then, by value, the one
+        after ``sweep + (max_iters - sweep) % p``, at most p - 1 sweeps on;
+        both SISO paths turn a zero into +0.0, so its APPs are the same
+        bits.
         """
-        bits = np.int64
-        same = _agree([msgs.view(bits) for msgs in (self.epm, self.ppm)],
-                      [msgs.view(bits) for msgs in self.saved])
+        same = _agree((self.epm, self.ppm), self.saved)
         period = sweep - self.saved_at
         self.stop[same] = sweep + (max_iters - sweep) % period
 
@@ -148,14 +143,14 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                edges) -> None:
     """Update parity node of block s in the window of target layer t; write
     its extrinsics toward the window's layers.  Every input enters as its
-    tanh: the fixed ones as computed when the window starts, and the
+    tanh: the node's fixed term as computed when the window starts, and the
     messages of the window's layers gathered into the rows of one block,
     which becomes their tanh in place.  A lone receiver's message is never
     read, so it is not gathered, and its input is None."""
     live = [(j, x - t) for j, x in edges if x >= t]
-    gathered = iter([None])
+    th = [act.fixed[s - t], None]
     if len(live) > 1:
-        block = np.empty((len(live),) + act.channel_th.shape[1:])
+        block = np.empty((len(live),) + act.fixed.shape[1:])
         for (j, w), row in zip(live, block):
             # layer s speaks after this node in a sweep, layers left of it
             # before; the indices are valid, and mode "clip" only spares
@@ -164,19 +159,10 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
             msgs[w, j].take(code.perms[j], axis=-1, out=row, mode="clip")
         np.multiply(block, 0.5, out=block)
         np.tanh(block, out=block)
-        gathered = iter(block)
-    th = [act.channel_th[s - t]]
-    receivers = []
-    for j, x in edges:
-        if x < t:
-            th.append(act.feedback[x, j])
-        else:
-            receivers.append((len(th), j, x - t))
-            th.append(next(gathered))
-    outs = leave_one_out_boxplus(th, needed=[i for i, _, _ in receivers])
-    for i, j, w in receivers:
-        outs[i].take(code.perms_inv[j], axis=-1, out=act.ppm[w, j],
-                     mode="clip")
+        th[1:] = block
+    outs = leave_one_out_boxplus(th, needed=range(1, len(th)))
+    for (j, w), out in zip(live, outs[1:]):
+        out.take(code.perms_inv[j], axis=-1, out=act.ppm[w, j], mode="clip")
 
 
 def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
@@ -210,28 +196,31 @@ def _iterate(code: BmstCode, plan: WindowPlan, act: _ActiveRows) -> None:
 
 
 def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
-                  channel_llr: np.ndarray, feedback_llr: np.ndarray):
+                  channel_llr: np.ndarray, decided_signs: np.ndarray):
     """Run up to ``max_iters`` sweeps of ``plan`` and decide its target
     layer.
 
     ``channel_llr``, shaped ``(..., L+m, N)``, holds the full received
     sequence; the window reads the blocks of the parity nodes it sweeps.
-    ``feedback_llr``, shaped ``(..., L, N)``, carries the saturated codeword
-    LLRs of the decided layers; the window reads those its plan ties to it.
-    Returns the hard decisions on the target layer's info bits and their APP
-    LLRs, shaped like the batch's lead axes plus ``(K,)``.  The channel
-    blocks and the decided layers' feedback stay fixed for the window, so
-    their ``tanh(x/2)`` terms are computed once, before the first sweep, and
-    so is the output of parity node t, which reads nothing else.  Each
-    sweep writes one message buffer per direction while the other keeps the
-    previous sweep's messages.  Each trial stops on its own: once
-    a sweep leaves every one of its messages unchanged (the two buffers
-    agree), it sits at an exact fixed point and further sweeps would be
-    no-ops, so it leaves the active set and later sweeps skip it.  Every
-    ``CHECKPOINT_SWEEPS`` sweeps the state of both directions is saved, and
-    after each sweep each trial's state is compared, bit for bit, with the
-    saved one.  A match at sweep i against the state after sweep c puts the
-    trial in an exact limit cycle of period p = i - c, so its state after
+    ``decided_signs``, shaped ``(..., L, N)``, holds the hard decisions of
+    the decided layers' codeword bits as signs, +1 for 0 and -1 for 1; the
+    window reads those its plan ties to it.  Returns the hard decisions on
+    the target layer's info bits and their APP LLRs, shaped like the batch's
+    lead axes plus ``(K,)``.  A decided edge is a factor of +/-1.0 in its
+    parity node's tanh products, and a product by +/-1.0 is exact in any
+    order, so each swept parity node has one term fixed for the window: its
+    channel block's ``tanh(x/2)`` times the signs of its decided edges.
+    Those terms are computed once, before the first sweep, and so is the
+    output of parity node t, which reads nothing else.  Each sweep writes
+    one message buffer per direction while the other keeps the previous
+    sweep's messages.  Each trial stops on its own: once a sweep leaves
+    every one of its messages unchanged (the two buffers agree), it sits at
+    an exact fixed point and further sweeps would be no-ops, so it leaves
+    the active set and later sweeps skip it.  Every ``CHECKPOINT_SWEEPS``
+    sweeps the state of both directions is saved, and after each sweep each
+    trial's state is compared with the saved one.  A match at sweep i
+    against the state after sweep c puts the trial in an exact limit cycle
+    of period p = i - c, so its state after
     ``max_iters`` sweeps is its state after i + (max_iters - i) mod p: it
     runs those at most p - 1 sweeps more and leaves the active set as a
     converged trial does.  Otherwise it stops after ``max_iters`` sweeps.
@@ -244,26 +233,23 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     lead = channel_llr.shape[:-2]
     trials = math.prod(lead)
     shape = (plan.layer_end - t + 1, m + 1, trials, N)
-    # The swept blocks as (blocks, trials, N): a view, as only its tanh
-    # enters the arithmetic.
+    # The swept blocks' fixed terms as (blocks, trials, N).
     channel = channel_llr.reshape((trials,) + channel_llr.shape[-2:])
-    channel = channel[:, t:plan.sweep[-1][0] + 1].swapaxes(0, 1)
-    decided = feedback_llr.reshape((trials,) + feedback_llr.shape[-2:])
-    feedback = {}
-    for _, edges in plan.sweep:
+    fixed = tanh_half(channel[:, t:plan.sweep[-1][0] + 1].swapaxes(0, 1))
+    signs = decided_signs.reshape((trials,) + decided_signs.shape[-2:])
+    for s, edges in plan.sweep:
         for j, x in edges:
             if x < t:
-                feedback[x, j] = tanh_half(decided[:, x, code.perms[j]])
-    act = _ActiveRows(np.arange(trials), tanh_half(channel), feedback,
+                fixed[s - t] *= signs[:, x, code.perms[j]]
+    act = _ActiveRows(np.arange(trials), fixed, np.zeros(shape),
                       np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                      np.zeros(shape), np.full(trials, config.max_iters),
-                      None, 0)
+                      np.full(trials, config.max_iters), None, 0)
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
     with np.errstate(divide="ignore"):  # atanh(+/-1), saturated by the clip
         # Parity node t answers only the target layer, whose message it
-        # never reads, from the channel and the decided layers: its output
-        # is the same in every sweep, so both buffers get it once.
+        # never reads, from its fixed term: its output is the same in every
+        # sweep, so both buffers get it once.
         _plus_node(code, act, t, t, plan.sweep[0][1])
         act.old_ppm[0, 0] = act.ppm[0, 0]
         for sweep in range(1, config.max_iters + 1):
@@ -294,9 +280,9 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
 
     Takes LLRs shaped ``(..., L+m, N)``.  Each window is decoded
     independently given the channel LLRs and the decision log; decided
-    layers feed back their re-encoded codewords as saturated LLRs to all
-    later windows.  The lead axes are flattened into one trial axis for
-    decoding and restored on the result.
+    layers feed back their re-encoded codewords as hard decisions, the
+    signs +1 and -1, to all later windows.  The lead axes are flattened
+    into one trial axis for decoding and restored on the result.
     """
     L, m, N, K = code.coupling_len, code.memory, code.N, code.K
     llr = np.asarray(channel_llrs, dtype=float)
@@ -305,14 +291,11 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
                          f"got {llr.shape}")
     lead = llr.shape[:-2]
     llr = llr.reshape((-1,) + llr.shape[-2:])
-    # int8 holds +/-LLR_CLIP exactly, and a window reads only its tanh,
-    # which is exactly +/-1.0.
-    feedback = np.zeros((llr.shape[0], L, N), dtype=np.int8)
+    signs = np.zeros((llr.shape[0], L, N), dtype=np.int8)
     decisions = np.zeros((llr.shape[0], L, K), dtype=np.uint8)
     for t in range(L):
         plan = window_plan(L, m, config.delay, t)
-        bits, _ = decode_window(code, plan, config, llr, feedback)
+        bits, _ = decode_window(code, plan, config, llr, signs)
         decisions[:, t] = bits
-        feedback[:, t] = np.where(encode_basic(code.basic, bits), -LLR_CLIP,
-                                  LLR_CLIP)
+        signs[:, t] = 1 - 2 * encode_basic(code.basic, bits).astype(np.int8)
     return decisions.reshape(lead + (L * K,))

@@ -307,3 +307,14 @@ class TestBerBasic:
                 for ebn0 in np.arange(-10.0, 55.0 + 1e-9, 0.25)]
         assert all(math.isfinite(v) for v in vals)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 12, 16])
+    def test_spc_at_most_half_and_non_increasing_far_below_0_db(self, n):
+        # There the combined LLRs are tiny: the log form of a pairwise
+        # combine cancels to rounding noise, and a Gauss rule's sums of
+        # squares underflow, unless both are kept accurate.  A RuntimeWarning
+        # fails the test too.
+        small = make_small_code("spc", n)
+        vals = [ber_basic(small, float(ebn0)).ber for ebn0 in range(-120, 21)]
+        assert all(v <= 0.5 for v in vals)
+        assert all(b <= a for a, b in zip(vals, vals[1:]))

@@ -160,6 +160,9 @@ class TestExitWindowRun:
             exit_window_run(RC2, -1, 3, 10, 5.0, 1e-3)
         with pytest.raises(ValueError):
             exit_window_run(RC2, 1, 3, 10, 5.0, 0.7)
+        for target in (1e-300, 1e-17, exit_engine.MIN_TARGET_BER):
+            with pytest.raises(ValueError, match="target BER"):
+                exit_window_run(RC2, 1, 3, 10, 5.0, target)
         for max_iters in (0, -3):
             with pytest.raises(ValueError, match="max_iters"):
                 exit_window_run(RC2, 1, 3, 10, 5.0, 1e-3, max_iters)
@@ -303,9 +306,22 @@ class TestThresholdSearch:
                     dict(lo_db=-math.inf), dict(resolution_db=math.nan),
                     dict(resolution_db=math.inf), dict(max_iters=0),
                     dict(max_iters=-3), dict(hi_db=5000.0),
-                    dict(lo_db=-5000.0), dict(hi_db=MAX_ABS_SNR_DB + 1.0)):
+                    dict(lo_db=-5000.0), dict(hi_db=MAX_ABS_SNR_DB + 1.0),
+                    dict(target_ber=exit_engine.MIN_TARGET_BER),
+                    dict(target_ber=1e-20)):
             with pytest.raises(ValueError):
                 replace(good, **bad)
+        replace(good, target_ber=2e-17)
+
+
+def test_min_target_ber_is_the_smallest_nonzero_ber_estimate():
+    # Below it the estimate is 0 exactly, so every smaller target would get
+    # the threshold of the first MI that rounds to 1.
+    below_one = math.nextafter(1.0, 0.0)
+    assert exit_engine.MIN_TARGET_BER == ber_estimate(below_one) > 0.0
+    assert ber_estimate(1.0) == 0.0
+    assert ber_estimate(math.nextafter(below_one, 0.0)) > ber_estimate(
+        below_one)
 
 
 # Ten cheap searches (RC and SPC, m = 1-3, several targets and resolutions)

@@ -23,7 +23,7 @@ EDGE = ["0", "-1", "-7", "nan", "inf", "-inf", "", "1,,2", ",", "1;2", "x",
 
 #: Valid tiny values per key; ``snr`` and ``out`` are drawn apart.
 TINY = {
-    "code": ["rc:2", "rc:3", "spc:2", "spc:4", "spc:5", "RC:2"],
+    "code": ["rc:2", "rc:3", "spc:2", "spc:4", "spc:5", "spc:16", "RC:2"],
     "cart": ["1", "2", "4"],
     "memory": ["0", "1", "1", "2", "1,2"],
     "length": ["1", "2", "4", "6", "6", "2,5"],
@@ -39,7 +39,9 @@ BAD_CODES = ["rc:1", "spc:0", "rc:-2", "rc", "rc:2:3", "ldpc:3", "spc:nan"]
 #: Keys that set how long a run takes; omitted, they default to full size.
 SIZE_KEYS = ("cart", "length", "max_bits", "memory", "max_iters", "snr")
 
-DB = [-400.0, -5.0, 0.0, 1.5, 4.0, 400.0]
+#: SNR ends.  At -107 dB the SPC genie bound of spc:16 combines LLRs far
+#: below 1e-5 in magnitude.
+DB = [-400.0, -107.0, -5.0, 0.0, 1.5, 4.0, 400.0]
 
 
 def snr_text(rng, command):

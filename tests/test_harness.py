@@ -9,7 +9,7 @@ import pytest
 import bmst.harness as harness
 from bmst.basic_codes import ber_basic, make_small_code
 from bmst.cli import main, spec_from_args
-from bmst.exit_engine import genie_bound_ebn0_at_target
+from bmst.exit_engine import MIN_TARGET_BER, genie_bound_ebn0_at_target
 from bmst.harness import (BATCH_CODEWORDS, ExperimentSpec, SpecError,
                           parse_metadata, replay, run_ber_sweep,
                           run_lower_bound_table, run_spec,
@@ -57,6 +57,11 @@ def test_spec_validation():
                        snr_step=0.01).validate()
     with pytest.raises(SpecError):
         tiny_ber_spec(targets=(0.7,)).validate()
+    # the MI-to-BER map cannot tell targets at or below this floor apart
+    for target in (MIN_TARGET_BER, 1e-20, 1e-300):
+        with pytest.raises(SpecError, match="targets"):
+            tiny_ber_spec(targets=(1e-3, target)).validate()
+    tiny_ber_spec(targets=(2e-17,)).validate()
     with pytest.raises(SpecError):
         tiny_ber_spec(command="simulate-everything").validate()
 
@@ -313,13 +318,16 @@ def test_threshold_vs_target_bracket_failure_recorded(tmp_path):
 
 
 def test_threshold_vs_target_default_delays_cover_m_and_3m():
-    spec = ExperimentSpec(command="threshold-vs-target", kind="rc", n=2,
-                          memories=(2,), lengths=(50,), snr_lo=0.0,
-                          snr_hi=14.0, snr_step=0.05, targets=(1e-4,))
-    text, _ = run_threshold_vs_target(spec)
-    rows = [line.split(",") for line in text.splitlines()
-            if line and not (line.startswith("#") or line.startswith("family"))]
-    assert sorted(int(r[2]) for r in rows) == [2, 6]
+    # at m = 0 both defaults are 0, and that one search runs once
+    for memory, delays in ((2, [2, 6]), (0, [0])):
+        spec = ExperimentSpec(command="threshold-vs-target", kind="rc", n=2,
+                              memories=(memory,), lengths=(50,), snr_lo=0.0,
+                              snr_hi=14.0, snr_step=0.05, targets=(1e-4,))
+        text, _ = run_threshold_vs_target(spec)
+        rows = [line.split(",") for line in text.splitlines()
+                if line and not (line.startswith("#")
+                                 or line.startswith("family"))]
+        assert sorted(int(r[2]) for r in rows) == delays
 
 
 def test_threshold_vs_target_computes_each_genie_bound_once(monkeypatch):

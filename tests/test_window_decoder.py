@@ -35,13 +35,12 @@ def windows_one_by_one(code, cfg, llr):
     """Decode window after window, feeding each decision back as
     ``decode_sequence`` does; yields each window's bits and APP LLRs."""
     L, N = code.coupling_len, code.N
-    feedback = np.zeros(llr.shape[:-2] + (L, N))
+    signs = np.zeros(llr.shape[:-2] + (L, N))
     for t in range(L):
         plan = window_plan(L, code.memory, cfg.delay, t)
-        bits, app = decode_window(code, plan, cfg, llr, feedback)
+        bits, app = decode_window(code, plan, cfg, llr, signs)
         yield bits, app
-        feedback[..., t, :] = 50.0 * (1.0 - 2.0 * encode_basic(code.basic,
-                                                                bits))
+        signs[..., t, :] = 1.0 - 2.0 * encode_basic(code.basic, bits)
 
 
 def plus_node(incoming, channel_llr):
@@ -82,8 +81,8 @@ def eq_node(code, incoming, monkeypatch):
     shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
     ppm = np.stack(incoming).reshape(shape)
     epm = np.zeros(shape)
-    act = wd._ActiveRows(np.arange(1), None, None, epm, ppm, epm, ppm,
-                         None, None, 0)
+    act = wd._ActiveRows(np.arange(1), None, epm, ppm, epm, ppm, None, None,
+                         0)
     seen = []
     siso = wd.siso_decode_basic
 
