@@ -243,9 +243,9 @@ def ber_basic(small: SmallCode, ebn0_db: float) -> BerEstimate:
     sharply in l, and with as many the value moved by 2e-5 relative when
     ``GAUSS_POINTS`` doubled (n = 8, 8.5 dB), with twice as many by 3e-7.
     Far below 0 dB the LLRs and their combines are tiny, and both steps
-    keep them to a few ulps, so the BER stays at most 0.5 and falls with
-    Eb/N0 down to at least -200 dB; below about -310 dB it is 0.5 up to
-    the rounding of the weights' sum.
+    keep them to a few ulps, so the BER falls with Eb/N0 down to at least
+    -200 dB.  Below about -310 dB the sum is 0.5 up to the rounding of the
+    weights' sum, which may lie above 1, so it is capped at 0.5.
     """
     if small.kind == RC:
         # n observations at Es/N0 = (Eb/N0)/n combine to 2*Eb/N0 after ML.
@@ -260,6 +260,6 @@ def ber_basic(small: SmallCode, ebn0_db: float) -> BerEstimate:
     for _ in range(small.n - 2):
         ext, w_ext = _gauss_rule(_boxplus(ext[:, None], llr).ravel(),
                                  np.outer(w_ext, w_llr).ravel(), GAUSS_POINTS)
-    return BerEstimate(math.fsum(
+    return BerEstimate(min(0.5, math.fsum(
         wi * qfunc((mu + e) / scale)
-        for wi, e in zip(w_ext.tolist(), ext.tolist())))
+        for wi, e in zip(w_ext.tolist(), ext.tolist()))))

@@ -17,12 +17,12 @@ the window holds the last layer.
 
 All arrays accept leading batch axes, so many independent noise
 realizations decode through the same vectorized operations.  Within a
-window each trial iterates until its own messages reach an exact fixed
-point (a sweep leaves every message unchanged), until they reach the state
-that ``max_iters`` sweeps would leave them in, found by an exact limit
-cycle, or until ``max_iters`` sweeps have run; trials that are done drop
-out of the arrays later sweeps work on.  A trial's decisions and its work
-thus do not depend on its batch-mates.
+window a trial stops at an exact fixed point of its messages (a sweep
+leaves every message unchanged) or after ``max_iters`` sweeps; trials that
+are done drop out of the arrays later sweeps work on, so a trial's
+decisions and its work do not depend on its batch-mates.  A parity node
+recomputes only the outputs whose inputs moved and copies the others,
+which at m = 1 halves its work (see :func:`decode_window`).
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ import numpy as np
 from .basic_codes import encode_basic, siso_decode_basic
 from .encoder import BmstCode, WindowPlan, window_plan
 from .llr import clip_llr, leave_one_out_boxplus, tanh_half
-
-#: Sweeps between the message states a trial's later states are compared
-#: with; a limit cycle of at most this period is found.
-CHECKPOINT_SWEEPS = 8
 
 
 @dataclass
@@ -70,10 +66,13 @@ class _ActiveRows:
     (pre-permutation) domain.  Each direction has two buffers: a sweep
     writes every message of ``epm``/``ppm`` once and reads the ones it has
     not yet rewritten, the previous sweep's, from ``old_epm``/``old_ppm``.
-    ``rows`` maps each trial to its index in the flattened batch, and
-    ``stop`` to the sweep after which it is done at the latest.  ``saved``
-    holds ``(epm, ppm)`` as they were after sweep ``saved_at``, or is None
-    before the first checkpoint.
+    ``rows`` maps each trial to its index in the flattened batch.
+
+    ``ppm_ver[w][i]`` and ``epm_ver[w]``, one for the equality node's
+    outputs, are the messages' versions, the same for every trial: the
+    ``clock`` tick of the node update that last computed them, or 0 for the
+    buffers' starting zeros.  An input newer than an output was computed
+    after it.
     """
 
     rows: np.ndarray
@@ -82,91 +81,94 @@ class _ActiveRows:
     ppm: np.ndarray
     old_epm: np.ndarray
     old_ppm: np.ndarray
-    stop: np.ndarray
-    saved: tuple[np.ndarray, np.ndarray] | None
-    saved_at: int
+    epm_ver: list[int]
+    ppm_ver: list[list[int]]
+    clock: int = 0
 
     def subset(self, keep: np.ndarray) -> None:
         """Keep only the trials where ``keep`` is set.  Each array is
         replaced on its own, so at most one array has an old and a new copy
         in memory at a time."""
         self.rows = self.rows[keep]
-        self.stop = self.stop[keep]
         self.fixed = self.fixed[:, keep]
         self.epm = self.epm[:, :, keep]
         self.old_epm = self.old_epm[:, :, keep]
         self.ppm = self.ppm[:, :, keep]
         self.old_ppm = self.old_ppm[:, :, keep]
-        if self.saved is not None:
-            self.saved = tuple(msgs[:, :, keep] for msgs in self.saved)
-
-    def save(self, sweep: int) -> None:
-        """Take the checkpoint of the state after ``sweep``."""
-        self.saved = (self.epm.copy(), self.ppm.copy())
-        self.saved_at = sweep
-
-    def find_cycles(self, sweep: int, max_iters: int) -> None:
-        """Set ``stop`` of each trial whose state after ``sweep`` equals its
-        state at the checkpoint.
-
-        Every step of a sweep maps states equal by value to states equal by
-        value (a zero's sign changes no nonzero result), so such a trial
-        repeats its states by value with period p = ``sweep - saved_at``.
-        Its state after ``max_iters`` sweeps is then, by value, the one
-        after ``sweep + (max_iters - sweep) % p``, at most p - 1 sweeps on;
-        both SISO paths turn a zero into +0.0, so its APPs are the same
-        bits.
-        """
-        same = _agree((self.epm, self.ppm), self.saved)
-        period = sweep - self.saved_at
-        self.stop[same] = sweep + (max_iters - sweep) % period
 
     def swap(self) -> None:
         """Make the newest messages the old ones before a sweep."""
         self.epm, self.old_epm = self.old_epm, self.epm
         self.ppm, self.old_ppm = self.old_ppm, self.ppm
 
-
-def _agree(now, then) -> np.ndarray:
-    """Per trial, whether two message states, each an ``(epm, ppm)`` pair,
-    are equal element by element.  The window's last layer, whose messages
-    settle last, is compared first, and the whole state only if some
-    trial's last layer agrees."""
-    same = (now[0][-1] == then[0][-1]).all(axis=(0, 2))
-    if same.any():
-        for a, b in zip(now, then):
-            same &= (a == b).all(axis=(0, 1, 3))
-    return same
+    def unchanged(self) -> np.ndarray:
+        """Per trial, whether the last sweep left every message equal by
+        value to the one before.  The window's last layer, whose messages
+        settle last, is compared first, and the whole state only if some
+        trial's last layer agrees."""
+        same = (self.epm[-1] == self.old_epm[-1]).all(axis=(0, 2))
+        if same.any():
+            for a, b in ((self.epm, self.old_epm), (self.ppm, self.old_ppm)):
+                same &= (a == b).all(axis=(0, 1, 3))
+        return same
 
 
 def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
                edges) -> None:
     """Update parity node of block s in the window of target layer t; write
-    its extrinsics toward the window's layers.  Every input enters as its
-    tanh: the node's fixed term as computed when the window starts, and the
-    messages of the window's layers gathered into the rows of one block,
-    which becomes their tanh in place.  A lone receiver's message is never
-    read, so it is not gathered, and its input is None."""
+    its extrinsics toward the window's layers.
+
+    An output reads the node's fixed term and the other live edges'
+    messages.  It is recomputed only if one of those is newer than it, else
+    copied from the previous sweep's buffer: a node rule is a fixed
+    function of its inputs, so the copy holds the bits a recomputation
+    would give.  At the start the buffers' +0.0 stands for the +/-0.0 the
+    rule gives from zero messages; a zero's sign moves no nonzero result,
+    and both SISO paths return +0.0 for it.  An output that reads no live
+    message is computed in the first sweep only.  The inputs enter as their
+    tanh: the fixed term, and the messages the recomputed outputs read,
+    gathered into the rows of one block that becomes their tanh in place;
+    the others are None.
+    """
     live = [(j, x - t) for j, x in edges if x >= t]
-    th = [act.fixed[s - t], None]
-    if len(live) > 1:
-        block = np.empty((len(live),) + act.fixed.shape[1:])
-        for (j, w), row in zip(live, block):
+    ins = [act.epm_ver[w] for _, w in live]
+    redo = []
+    for k, (j, w) in enumerate(live):
+        others = ins[:k] + ins[k + 1:]
+        made = act.ppm_ver[w][j]
+        if max(others) > made if others else made == 0:
+            redo.append(k)
+        else:
+            act.ppm[w, j] = act.old_ppm[w, j]
+    if not redo:
+        return
+    th = [act.fixed[s - t]] + [None] * len(live)
+    read = [i for i in range(len(live)) if redo != [i]]
+    if read:
+        block = np.empty((len(read),) + act.fixed.shape[1:])
+        for i, row in zip(read, block):
+            j, w = live[i]
             # layer s speaks after this node in a sweep, layers left of it
             # before; the indices are valid, and mode "clip" only spares
             # take a buffer copy
             msgs = act.old_epm if j == 0 else act.epm
             msgs[w, j].take(code.perms[j], axis=-1, out=row, mode="clip")
+            th[1 + i] = row
         np.multiply(block, 0.5, out=block)
         np.tanh(block, out=block)
-        th[1:] = block
-    outs = leave_one_out_boxplus(th, needed=range(1, len(th)))
-    for (j, w), out in zip(live, outs[1:]):
-        out.take(code.perms_inv[j], axis=-1, out=act.ppm[w, j], mode="clip")
+    outs = leave_one_out_boxplus(th, needed=[1 + k for k in redo])
+    act.clock += 1
+    for k in redo:
+        j, w = live[k]
+        outs[1 + k].take(code.perms_inv[j], axis=-1, out=act.ppm[w, j],
+                         mode="clip")
+        act.ppm_ver[w][j] = act.clock
 
 
 def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
-    """Equality and code-constraint updates of the window's layer w."""
+    """Equality and code-constraint updates of the window's layer w.  The
+    outputs get a new version only if an input is newer than them; else
+    they are the bits the node computed before."""
     # Parity node of layer w has just spoken; the ones after it speak later.
     now, later = act.ppm[w, 0], act.old_ppm[w, 1:]
     # numpy sums over a leading axis edge by edge from +0.0; so does this.
@@ -180,17 +182,17 @@ def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
     np.subtract(total, later, out=out[1:])
     out += from_c
     clip_llr(out, out=out)
+    act.clock += 1
+    if max(act.ppm_ver[w]) > act.epm_ver[w]:
+        act.epm_ver[w] = act.clock
 
 
 def _iterate(code: BmstCode, plan: WindowPlan, act: _ActiveRows) -> None:
     """One sweep of the plan: each parity node, followed by the equality and
-    code node of its layer if the window holds one.  Parity node t is left
-    out: its output is fixed for the window and computed before the first
-    sweep."""
+    code node of its layer if the window holds one."""
     t = plan.position
     for s, edges in plan.sweep:
-        if s > t:
-            _plus_node(code, act, t, s, edges)
+        _plus_node(code, act, t, s, edges)
         if s <= plan.layer_end:
             _eq_c_node(code, act, s - t)
 
@@ -210,29 +212,30 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     parity node's tanh products, and a product by +/-1.0 is exact in any
     order, so each swept parity node has one term fixed for the window: its
     channel block's ``tanh(x/2)`` times the signs of its decided edges.
-    Those terms are computed once, before the first sweep, and so is the
-    output of parity node t, which reads nothing else.  Each sweep writes
-    one message buffer per direction while the other keeps the previous
-    sweep's messages.  Each trial stops on its own: once a sweep leaves
-    every one of its messages unchanged (the two buffers agree), it sits at
-    an exact fixed point and further sweeps would be no-ops, so it leaves
-    the active set and later sweeps skip it.  Every ``CHECKPOINT_SWEEPS``
-    sweeps the state of both directions is saved, and after each sweep each
-    trial's state is compared with the saved one.  A match at sweep i
-    against the state after sweep c puts the trial in an exact limit cycle
-    of period p = i - c, so its state after
-    ``max_iters`` sweeps is its state after i + (max_iters - i) mod p: it
-    runs those at most p - 1 sweeps more and leaves the active set as a
-    converged trial does.  Otherwise it stops after ``max_iters`` sweeps.
-    The decision reads the state each trial leaves with, which is the one
-    ``max_iters`` sweeps would leave.  A trial's decisions and its work
-    therefore do not depend on its batch-mates.
+    Those terms are computed once, before the first sweep.
+
+    Each sweep writes one message buffer per direction while the other
+    keeps the previous sweep's.  A trial stops at an exact fixed point,
+    once a sweep leaves every one of its messages unchanged (the buffers
+    agree by value), or after ``max_iters`` sweeps, and leaves the active
+    set: its decisions and its work do not depend on its batch-mates.
+
+    The window keeps each message's version, and a parity node recomputes
+    only the outputs that read a newer input (:func:`_plus_node`); the
+    equality and code nodes run every sweep.  At m = 1 a parity node's
+    output toward its own layer reads the previous layer's message of this
+    sweep, and the one toward the previous layer its own layer's message of
+    the last sweep.  So the messages of odd and of even sweeps never read
+    each other; both start from zero, so each even sweep repeats the odd
+    one before it.  The equality nodes' outputs move every other sweep,
+    and an interior parity node recomputes one of its two outputs a sweep.
     """
     m, N = code.memory, code.N
     t = plan.position
     lead = channel_llr.shape[:-2]
     trials = math.prod(lead)
-    shape = (plan.layer_end - t + 1, m + 1, trials, N)
+    layers = plan.layer_end - t + 1
+    shape = (layers, m + 1, trials, N)
     # The swept blocks' fixed terms as (blocks, trials, N).
     channel = channel_llr.reshape((trials,) + channel_llr.shape[-2:])
     fixed = tanh_half(channel[:, t:plan.sweep[-1][0] + 1].swapaxes(0, 1))
@@ -243,29 +246,19 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
                 fixed[s - t] *= signs[:, x, code.perms[j]]
     act = _ActiveRows(np.arange(trials), fixed, np.zeros(shape),
                       np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                      np.full(trials, config.max_iters), None, 0)
+                      [0] * layers, [[0] * (m + 1) for _ in range(layers)])
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
     with np.errstate(divide="ignore"):  # atanh(+/-1), saturated by the clip
-        # Parity node t answers only the target layer, whose message it
-        # never reads, from its fixed term: its output is the same in every
-        # sweep, so both buffers get it once.
-        _plus_node(code, act, t, t, plan.sweep[0][1])
-        act.old_ppm[0, 0] = act.ppm[0, 0]
         for sweep in range(1, config.max_iters + 1):
             act.swap()
             _iterate(code, plan, act)
-            done = _agree((act.epm, act.ppm), (act.old_epm, act.old_ppm))
-            if act.saved is not None:
-                act.find_cycles(sweep, config.max_iters)
-            done |= act.stop == sweep
+            done = act.unchanged() | (sweep == config.max_iters)
             if done.any():
                 target[:, act.rows[done]] = act.ppm[0][:, done]
                 act.subset(~done)
                 if not act.rows.size:
                     break
-            if sweep % CHECKPOINT_SWEEPS == 0:
-                act.save(sweep)
         total = target.sum(axis=0)
         _, info_app = siso_decode_basic(code.basic,
                                         clip_llr(total, out=total))

@@ -318,3 +318,10 @@ class TestBerBasic:
         vals = [ber_basic(small, float(ebn0)).ber for ebn0 in range(-120, 21)]
         assert all(v <= 0.5 for v in vals)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16])
+    def test_spc_at_most_half_at_minus_400_db(self, n):
+        # There the sum rounds to 0.5 plus a few ulps of the weights' sum.
+        small = make_small_code("spc", n)
+        for ebn0 in (-400.0, -395.0, -350.0, -310.0):
+            assert ber_basic(small, ebn0).ber <= 0.5

@@ -81,8 +81,8 @@ def eq_node(code, incoming, monkeypatch):
     shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
     ppm = np.stack(incoming).reshape(shape)
     epm = np.zeros(shape)
-    act = wd._ActiveRows(np.arange(1), None, epm, ppm, epm, ppm, None, None,
-                         0)
+    act = wd._ActiveRows(np.arange(1), None, epm, ppm, epm, ppm, [0],
+                         [[0] * (code.memory + 1)])
     seen = []
     siso = wd.siso_decode_basic
 
@@ -220,12 +220,11 @@ def test_full_sequence_equals_window_composition():
 # layer lies in [L - m, L - 2]: a tail parity node would see a layer right
 # of such a window, so the window plan leaves it out.  Three named cases,
 # one RC[2,1]^100 trial each at the reference point (m=1, L=10, d=3,
-# 5.5 dB, 50 sweeps), list in ``capped`` each window that ran to the cap
-# when the decoder had no cycle exit, with the period of the exact limit
-# cycle its messages had entered (null: none within the cap).  Two more,
-# four SPC[4,3]^8 trials each in the error-propagation regime (m=2, L=10,
-# d=6, 2.5 dB, 50 sweeps), run every window but the last ones to the cap
-# with no cycle in any trial.
+# 5.5 dB, 50 sweeps), list in ``capped`` each window that runs to the
+# cap, with the period of the exact limit cycle its messages enter (null:
+# none within the cap).  Two more, four SPC[4,3]^8 trials each in the
+# error-propagation regime (m=2, L=10, d=6, 2.5 dB, 50 sweeps), run every
+# window but the last ones to the cap with no cycle in any trial.
 WINDOW_APPS = json.loads(
     (Path(__file__).parent / "golden" / "window_apps.json").read_text())
 
@@ -254,10 +253,9 @@ def window_apps_inputs(case):
 
 @pytest.mark.parametrize("case", [c for c in WINDOW_APPS if "capped" in c],
                          ids=lambda c: c["name"])
-def test_capped_windows_leave_at_their_limit_cycle(case, monkeypatch):
-    # A window whose messages enter an exact limit cycle leaves before the
-    # cap with the APPs the cap would give (the replay test checks those);
-    # one without a cycle still runs every sweep.
+def test_capped_windows_run_to_the_cap(case, monkeypatch):
+    # A trial leaves a window at an exact fixed point or at the cap, so a
+    # window whose messages enter a limit cycle runs every sweep too.
     import bmst.window_decoder as wd
 
     code, cfg, llr = window_apps_inputs(case)
@@ -271,13 +269,53 @@ def test_capped_windows_leave_at_their_limit_cycle(case, monkeypatch):
     monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
     for _ in windows_one_by_one(code, cfg, llr):
         calls.append(0)
-    for window, period in case["capped"]:
+    for window, _ in case["capped"]:
         plan = window_plan(code.coupling_len, code.memory, cfg.delay, window)
         full = 1 + cfg.max_iters * (plan.layer_end - window + 1)
-        if period is None:
-            assert calls[window] == full
+        assert calls[window] == full
+
+
+def test_parity_nodes_recompute_only_outputs_whose_inputs_moved(
+        monkeypatch):
+    # At m = 1 the messages of odd and even sweeps never read each other,
+    # and both start from zero, so each even sweep repeats the odd one
+    # before it.  After the first sweep parity node t, which reads no live
+    # message, computes nothing, and each of an interior window's other
+    # parity nodes computes one of its two outputs per sweep.
+    import bmst.window_decoder as wd
+
+    code = build(m=1, L=8, B=6, seed=4)
+    cfg = DecoderConfig(delay=3, max_iters=50)
+    llr = received_llr(code, np.zeros(code.info_bits, dtype=np.uint8), 4.0,
+                       seed=0)
+    plan = window_plan(code.coupling_len, 1, cfg.delay, 2)
+    width = cfg.delay + 1
+    events = []  # outputs asked of each boxplus call, and SISO calls as None
+    boxplus, siso = wd.leave_one_out_boxplus, wd.siso_decode_basic
+
+    def counting_boxplus(th, needed=None, out=None):
+        events.append(len(set(needed)))
+        return boxplus(th, needed, out)
+
+    def counting_siso(*args, **kwargs):
+        events.append(None)
+        return siso(*args, **kwargs)
+
+    monkeypatch.setattr(wd, "leave_one_out_boxplus", counting_boxplus)
+    monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
+    wd.decode_window(code, plan, cfg, llr, np.ones((code.coupling_len,
+                                                    code.N)))
+    # outputs each layer's parity node computed in each sweep
+    per_node, n = [], 0
+    for e in events[:-1]:  # the last SISO call is the decision
+        if e is None:
+            per_node.append(n)
+            n = 0
         else:
-            assert calls[window] < full
+            n += e
+    sweeps, rest = divmod(len(per_node), width)
+    assert rest == 0 and 2 < sweeps < cfg.max_iters  # a fixed point
+    assert per_node[width:] == ([0] + [1] * (width - 1)) * (sweeps - 1)
 
 
 def test_batched_trials_match_individual():
