@@ -35,7 +35,8 @@ MAX_SNR_POINTS = 10_000
 #: Most values one ``ber`` or ``encode`` frame may hold: its (L + m)*n*B
 #: code bits and, for ``ber``, each buffer of a window's messages, w*(m +
 #: 1)*n*B values for a window of w = min(d + 1, L) layers.  At the bound a
-#: 32-frame batch's channel LLRs take 1 GiB.
+#: 32-frame batch's channel LLRs take 1 GiB.  So is a threshold run's MI
+#: state, (L + m)*(m + 1) messages a direction.
 MAX_FRAME_VALUES = 2 ** 22
 
 
@@ -91,15 +92,18 @@ class ExperimentSpec:
             raise SpecError(f"lengths must be positive, got {self.lengths}")
         if any(d < 0 for d in self.delays):
             raise SpecError(f"delays must be non-negative, got {self.delays}")
-        if self.command in ("ber", "encode"):
-            m, length, N = self.memory, self.length, self.n * self.cart
+        m, length, N = max(self.memories), max(self.lengths), self.n * self.cart
+        size = 0
+        if self.command.startswith("threshold"):
+            size = (length + m) * (m + 1)
+        elif self.command in ("ber", "encode"):
             size = (length + m) * N
             if self.command == "ber":
                 width = min(self.delay_for(m) + 1, length)
                 size = max(size, width * (m + 1) * N)
-            if size > MAX_FRAME_VALUES:
-                raise SpecError(f"a {self.command} frame may hold at most "
-                                f"{MAX_FRAME_VALUES} values, got {size}")
+        if size > MAX_FRAME_VALUES:
+            raise SpecError(f"a {self.command} frame may hold at most "
+                            f"{MAX_FRAME_VALUES} values, got {size}")
         if self.max_iters < 1:
             raise SpecError(f"max_iters must be positive, got {self.max_iters}")
         if self.seed < 0:

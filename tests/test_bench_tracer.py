@@ -31,7 +31,7 @@ def test_tracer_counts_every_window_of_both_engines():
     code = build_bmst(cartesian(small, 4), m, L, seed=3)
     rng = np.random.default_rng(0)
     llr = rng.normal(2.0, 2.0, (2, L + m, code.N))
-    # The reference point's m = 1 and d = 3, where the decoder copies half
+    # The reference point's m = 1 and d = 3, where the decoder recomputes half
     # its parity outputs in each sweep.
     ref = build_bmst(cartesian(small, 4), 1, L, seed=3)
     ref_llr = rng.normal(2.0, 2.0, (2, L + 1, ref.N))

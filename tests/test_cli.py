@@ -217,6 +217,26 @@ def test_snr_beyond_the_bound_exits_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error: invalid spec:")
 
 
+@pytest.mark.parametrize("command", ["threshold-vs-l", "threshold-vs-target"])
+@pytest.mark.parametrize("memory,length", [
+    ("1", str(2 ** 21)), ("2048", "1"), ("1,2048", "1"), ("1", "1000000000000"),
+])
+def test_threshold_run_beyond_the_frame_bound_exits_2(capsys, command,
+                                                       memory, length):
+    # the MI state holds (L + m)*(m + 1) messages a direction; before the
+    # bound, a huge L ran out of memory and a huge m never left window_plan
+    assert main([command, "--code", "rc:2", "--memory", memory, "--length",
+                 length, "--snr", "0:4:0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid spec:")
+
+
+@pytest.mark.parametrize("memory,length", [("1", str(2 ** 21 - 1)),
+                                           ("0,2047", "1")])
+def test_threshold_run_at_the_frame_bound_is_valid(memory, length):
+    spec_from_args(["threshold-vs-l", "--memory", memory,
+                    "--length", length]).validate()
+
+
 def test_snr_at_the_bound_is_valid():
     spec_from_args(["bound", "--snr=-400:400:800"]).validate()
 

@@ -108,10 +108,11 @@ def test_window_of_too_many_values_is_an_invalid_ber_spec():
     with pytest.raises(SpecError):
         tiny_ber_spec(**dict(at, cart=2 ** 17 + 1)).validate()
     tiny_ber_spec(**dict(at, command="encode", cart=2 ** 17 + 1)).validate()
-    # the commands that build no frame take any size
+    # the commands that build no frame take any n*B; of them only bound
+    # takes any L, since a threshold run holds (L + m)*(m + 1) MI messages
     for command in ("bound", "threshold-vs-l"):
-        tiny_ber_spec(command=command, cart=10 ** 9, lengths=(10 ** 9,),
-                      delays=()).validate()
+        tiny_ber_spec(command=command, cart=10 ** 9, delays=()).validate()
+    tiny_ber_spec(command="bound", lengths=(10 ** 9,)).validate()
 
 
 def test_sweep_limits():

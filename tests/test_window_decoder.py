@@ -32,15 +32,35 @@ def encode_bmst_all(code, info):
 
 
 def windows_one_by_one(code, cfg, llr):
-    """Decode window after window, feeding each decision back as
-    ``decode_sequence`` does; yields each window's bits and APP LLRs."""
+    """Decode window after window the LLRs ``llr``, shaped ``(trials, L+m,
+    N)``, feeding each decision back as ``decode_sequence`` does; yields
+    each window's bits and APP LLRs."""
     L, N = code.coupling_len, code.N
-    signs = np.zeros(llr.shape[:-2] + (L, N))
+    signs = np.zeros((len(llr), L, N))
     for t in range(L):
         plan = window_plan(L, code.memory, cfg.delay, t)
         bits, app = decode_window(code, plan, cfg, llr, signs)
         yield bits, app
-        signs[..., t, :] = 1.0 - 2.0 * encode_basic(code.basic, bits)
+        signs[:, t] = 1.0 - 2.0 * encode_basic(code.basic, bits)
+
+
+def siso_calls_per_window(code, cfg, llr, monkeypatch):
+    """The SISO calls of each window of ``windows_one_by_one``: one per
+    layer and sweep, and one for the decision."""
+    import bmst.window_decoder as wd
+
+    calls = [0]
+    siso = wd.siso_decode_basic
+
+    def counting_siso(*args, **kwargs):
+        calls[-1] += 1
+        return siso(*args, **kwargs)
+
+    monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
+    for _ in windows_one_by_one(code, cfg, llr):
+        calls.append(0)
+    monkeypatch.setattr(wd, "siso_decode_basic", siso)
+    return calls[:-1]
 
 
 def plus_node(incoming, channel_llr):
@@ -80,8 +100,7 @@ def eq_node(code, incoming, monkeypatch):
 
     shape = (1, code.memory + 1, 1, code.N)  # (window, edge, trial, bit)
     ppm = np.stack(incoming).reshape(shape)
-    epm = np.zeros(shape)
-    act = wd._ActiveRows(np.arange(1), None, epm, ppm, epm, ppm, [0],
+    act = wd._ActiveRows(np.arange(1), None, np.zeros(shape), ppm, [0],
                          [[0] * (code.memory + 1)])
     seen = []
     siso = wd.siso_decode_basic
@@ -188,7 +207,7 @@ class TestNoiseless:
         mags = []
         for iters in (1, 2, 4):
             cfg = DecoderConfig(delay=3, max_iters=iters)
-            _, app = next(windows_one_by_one(code, cfg, llr))
+            _, app = next(windows_one_by_one(code, cfg, llr[None]))
             mags.append(float(np.abs(app).mean()))
         assert mags[0] <= mags[1] <= mags[2]
 
@@ -211,7 +230,8 @@ def test_full_sequence_equals_window_composition():
     llr = received_llr(code, info, 4.0, seed=21)
     cfg = DecoderConfig(delay=3, max_iters=15)
     want = decode_sequence(code, llr, cfg)
-    got = np.stack([bits for bits, _ in windows_one_by_one(code, cfg, llr)])
+    got = np.stack([bits for bits, _ in windows_one_by_one(code, cfg,
+                                                           llr[None])])
     np.testing.assert_array_equal(want, got.ravel())
 
 
@@ -227,10 +247,20 @@ def test_full_sequence_equals_window_composition():
 # window but the last ones to the cap with no cycle in any trial.
 WINDOW_APPS = json.loads(
     (Path(__file__).parent / "golden" / "window_apps.json").read_text())
+# Per case and trial, the sweeps each window runs with the trial decoded
+# alone.  A stop rule that ends a window later than its fixed point moves
+# no APP bit, since messages at a fixed point no longer move; these counts
+# see it.
+WINDOW_SWEEPS = json.loads(
+    (Path(__file__).parent / "golden" / "window_sweeps.json").read_text())
 
 
-@pytest.mark.parametrize("case", WINDOW_APPS, ids=lambda c: c.get(
-    "name", f"{c['code']}-m{c['memory']}-d{c['delay']}"))
+def case_id(case):
+    return case.get("name",
+                    f"{case['code']}-m{case['memory']}-d{case['delay']}")
+
+
+@pytest.mark.parametrize("case", WINDOW_APPS, ids=case_id)
 def test_window_apps_replay_bit_exactly(case):
     code, cfg, llr = window_apps_inputs(case)
     got = [[float(v).hex() for v in app.ravel()]
@@ -251,24 +281,29 @@ def window_apps_inputs(case):
     return code, cfg, llr
 
 
+@pytest.mark.parametrize("case", WINDOW_APPS, ids=case_id)
+def test_each_trial_stops_at_its_pinned_sweep(case, monkeypatch):
+    code, cfg, llr = window_apps_inputs(case)
+    L = code.coupling_len
+    got = []
+    for row in llr:
+        calls = siso_calls_per_window(code, cfg, row[None], monkeypatch)
+        sweeps = []
+        for t, n in enumerate(calls):
+            plan = window_plan(L, code.memory, cfg.delay, t)
+            sweeps.append(divmod(n - 1, plan.layer_end - t + 1))
+        got.append(sweeps)
+    assert got == [[(n, 0) for n in trial]
+                   for trial in WINDOW_SWEEPS[case_id(case)]]
+
+
 @pytest.mark.parametrize("case", [c for c in WINDOW_APPS if "capped" in c],
-                         ids=lambda c: c["name"])
+                         ids=case_id)
 def test_capped_windows_run_to_the_cap(case, monkeypatch):
     # A trial leaves a window at an exact fixed point or at the cap, so a
     # window whose messages enter a limit cycle runs every sweep too.
-    import bmst.window_decoder as wd
-
     code, cfg, llr = window_apps_inputs(case)
-    calls = [0]  # SISO calls per window
-    siso = wd.siso_decode_basic
-
-    def counting_siso(*args, **kwargs):
-        calls[-1] += 1
-        return siso(*args, **kwargs)
-
-    monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
-    for _ in windows_one_by_one(code, cfg, llr):
-        calls.append(0)
+    calls = siso_calls_per_window(code, cfg, llr, monkeypatch)
     for window, _ in case["capped"]:
         plan = window_plan(code.coupling_len, code.memory, cfg.delay, window)
         full = 1 + cfg.max_iters * (plan.layer_end - window + 1)
@@ -303,8 +338,8 @@ def test_parity_nodes_recompute_only_outputs_whose_inputs_moved(
 
     monkeypatch.setattr(wd, "leave_one_out_boxplus", counting_boxplus)
     monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
-    wd.decode_window(code, plan, cfg, llr, np.ones((code.coupling_len,
-                                                    code.N)))
+    wd.decode_window(code, plan, cfg, llr[None],
+                     np.ones((1, code.coupling_len, code.N)))
     # outputs each layer's parity node computed in each sweep
     per_node, n = [], 0
     for e in events[:-1]:  # the last SISO call is the decision
@@ -453,9 +488,9 @@ def test_window_active_set_exits_each_trial_at_its_own_fixed_point(
     bits, app, sweeps = [], [], []
     for row in llr:
         siso_rows.clear()
-        b, a = next(windows_one_by_one(code, cfg, row))
-        bits.append(b)
-        app.append(a)
+        b, a = next(windows_one_by_one(code, cfg, row[None]))
+        bits.append(b[0])
+        app.append(a[0])
         n, rest = divmod(len(siso_rows) - 1, width)
         assert rest == 0
         sweeps.append(n)
