@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .jfun import jfun
+from .jfun import bisect, jfun
 from .llr import LLR_CLIP, clip_llr
 
 #: Identifier of the noise-sampling scheme, recorded in run metadata.
@@ -81,11 +81,6 @@ def bpsk_capacity_ebn0_db(rate: float) -> float:
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must lie in (0, 1), got {rate}")
-    lo, hi = -20.0, 40.0
-    while hi - lo > CAPACITY_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        if channel_mi(mid, rate) < rate:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda db: channel_mi(db, rate) < rate, -20.0, 40.0,
+                    CAPACITY_TOL_DB)
     return 0.5 * (lo + hi)

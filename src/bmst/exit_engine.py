@@ -33,7 +33,7 @@ from .basic_codes import RC, BerEstimate, SmallCode, ber_basic, exit_transfer_c
 from .channel import (MAX_ABS_SNR_DB, channel_mi, check_ebn0_db,
                       ebn0_to_sigma)
 from .encoder import MAX_ITERS, coupled_rate, window_plan
-from .jfun import jdual, jfun, jinv, qfunc, qfunc_inv
+from .jfun import bisect, jdual, jfun, jinv, qfunc, qfunc_inv
 
 _INF = math.inf
 
@@ -69,10 +69,7 @@ def ber_estimate(i_ap: float) -> float:
     Q(sigma/2); perfect knowledge gives 0, no knowledge gives Q(0) = 0.5.
     """
     _check_mi(i_ap, "i_ap")
-    sigma = jinv(i_ap)
-    if math.isinf(sigma):
-        return 0.0
-    return qfunc(0.5 * sigma)
+    return qfunc(0.5 * jinv(i_ap))
 
 
 @dataclass(frozen=True)
@@ -209,13 +206,14 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                         others_inf = n_inf - 1
                         others_fin = fin
                     else:
+                        # fin - w >= 0: a float sum of non-negative
+                        # terms is never below one of them
                         others_inf = n_inf
                         others_fin = fin - w
                     if others_inf:
                         sa = inf
                     else:
-                        a = w_ch + others_fin
-                        sa = sqrt(0.0 if a < 0.0 else a)
+                        sa = sqrt(w_ch + others_fin)
                     old = erow[j]
                     if sa != old:
                         if not moved:
@@ -237,9 +235,9 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                     v_c = j_dual(scale * j_dual(sqrt(total))) ** 2
                 for i in range(q):
                     # An infinite input makes v_c infinite: no inf - inf.
+                    # As in the parity node, total >= vi.
                     vi = v[i]
-                    a = inf if vi == inf else total - vi + v_c
-                    sa = sqrt(0.0 if a < 0.0 else a)
+                    sa = inf if vi == inf else sqrt(total - vi + v_c)
                     old = row[i]
                     if sa != old:
                         if not moved:
@@ -368,12 +366,7 @@ def threshold_search(query: ThresholdQuery) -> ThresholdResult:
     if not succeeds(hi):
         raise BracketError(f"analysis still fails at hi = {hi} dB; "
                            "widen upward")
-    while (hi - lo > query.resolution_db
-           and lo < (mid := 0.5 * (lo + hi)) < hi):
-        if succeeds(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect(lambda db: not succeeds(db), lo, hi, query.resolution_db)
     rate = float(coupled_rate(query.small.k, query.small.n,
                               query.memory, query.coupling_len))
     return ThresholdResult(hi, ebn0_to_sigma(hi, rate), rate, evals)
@@ -414,10 +407,7 @@ def genie_bound_ebn0_at_target(small: SmallCode, memory: int,
     while (lo > -MAX_ABS_SNR_DB and genie_lower_bound(
             small, memory, coupling_len, lo).ber <= target_ber):
         lo -= 10.0
-    while hi - lo > GENIE_RESOLUTION_DB:
-        mid = 0.5 * (lo + hi)
-        if genie_lower_bound(small, memory, coupling_len, mid).ber > target_ber:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda db: genie_lower_bound(
+        small, memory, coupling_len, db).ber > target_ber, lo, hi,
+        GENIE_RESOLUTION_DB)
     return 0.5 * (lo + hi)

@@ -158,17 +158,9 @@ class ExperimentSpec:
 
 
 def spec_to_metadata(spec: ExperimentSpec) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for f in fields(spec):
-        v = getattr(spec, f.name)
-        if isinstance(v, tuple):
-            meta[f.name] = ",".join(repr(x) if isinstance(x, float) else str(x)
-                                    for x in v)
-        elif isinstance(v, float):
-            meta[f.name] = repr(v)
-        else:
-            meta[f.name] = str(v)
-    return meta
+    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
+    return {name: ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
+            for name, v in values}
 
 
 def _from_text(hint, raw: str):

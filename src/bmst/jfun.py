@@ -23,6 +23,10 @@ only code that needs scipy to evaluate J.  Regenerate the file with
 write_tables(TABLES_PATH)"``, which works with the file missing or damaged
 (the J functions then raise); the tests check that it equals a fresh build
 byte for byte.
+
+:func:`bisect` is the package's one scalar bisection: ``jinv`` near 1, the
+BPSK capacity reference, the SPC genie bound's Eb/N0 at a target and the
+threshold search all call it.
 """
 
 from __future__ import annotations
@@ -80,16 +84,17 @@ def jfun_quad(sigma: float) -> float:
 
 
 #: The shipped tables, little-endian float64 in this order: the J spline's
-#: nodes, its coefficients c0..c3 as four rows with one entry per interval
+#: coefficients c0..c3 as four rows with one entry per interval
 #: (``CubicSpline(...).c[::-1]``), ``mi_hi``, the Newton seeds of ``jinv``,
-#: and the duality table as one (c0, c1, c2, c3) run per interval.
+#: and the duality table as one (c0, c1, c2, c3) run per interval.  The
+#: spline's nodes are ``i * _STEP`` and not stored.
 TABLES_PATH = Path(__file__).with_name("jtables.bin")
 _N_INT = 2200       # J-spline intervals of width _STEP on [0, SIGMA_MAX]
 _N_INV = 4096       # steps of the seed table on the MI grid [0, mi_hi]
 _SIGMA_HI = 12.0    # mi_hi = J(_SIGMA_HI), about 1 - 4.3e-9
 _DUAL_N = 8194      # duality-table intervals; J rounds to 1 at their end
 _DUAL_END = _DUAL_S0 + _DUAL_STEP * _DUAL_N
-_TABLE_BYTES = 8 * ((_N_INT + 1) + 4 * _N_INT + 1 + (_N_INV + 1) + 4 * _DUAL_N)
+_TABLE_BYTES = 8 * (4 * _N_INT + 1 + (_N_INV + 1) + 4 * _DUAL_N)
 _REGENERATE = ("regenerate the J tables with python -c \"from bmst.jfun "
                "import TABLES_PATH, write_tables; write_tables(TABLES_PATH)\"")
 
@@ -113,11 +118,9 @@ def _read_tables(path: Path = TABLES_PATH) -> tuple:
     vals = array("d", data)
     if sys.byteorder == "big":
         vals.byteswap()
-    k = _N_INT + 1
     coef = list(zip([i * _STEP for i in range(_N_INT)],
-                    *(vals[k + j * _N_INT:k + (j + 1) * _N_INT]
-                      for j in range(4))))
-    k += 4 * _N_INT
+                    *(vals[j * _N_INT:(j + 1) * _N_INT] for j in range(4))))
+    k = 4 * _N_INT
     dual = vals[k + _N_INV + 2:]
     dual_coef = list(zip([_DUAL_S0 + i * _DUAL_STEP for i in range(_DUAL_N)],
                          *(dual[j::4] for j in range(4))))
@@ -150,6 +153,32 @@ _J_COEF, _INV, _DUAL_COEF = (_Unread("_J_COEF"), _Unread("_INV"),
                               _Unread("_DUAL_COEF"))
 
 
+def bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve ``[lo, hi]`` while it is wider than ``tol`` and its midpoint
+    lies strictly between its ends; the midpoint replaces ``lo`` where
+    ``below(mid)`` holds, else ``hi``.  ``below`` is evaluated at interior
+    points only, and ``tol = 0`` bisects down to adjacent floats."""
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisect_rows(f, target: np.ndarray, hi: float, steps: int) -> np.ndarray:
+    """Per entry, the midpoint of ``[0, hi]`` after ``steps`` halvings
+    toward ``f(s) = target``, for an increasing ``f`` of an array."""
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        too_low = f(mid) < target
+        np.copyto(lo, mid, where=too_low)
+        np.copyto(hi, mid, where=~too_low)
+    return 0.5 * (lo + hi)
+
+
 def write_tables(path: Path | str) -> None:
     """Build the tables that ``TABLES_PATH`` ships and write them to ``path``.
 
@@ -167,15 +196,8 @@ def write_tables(path: Path | str) -> None:
     # Inverse lookup table on a uniform MI grid for Newton seeding.
     # Restricted to where 1 - J is comfortably above double-precision noise.
     mi_hi = float(jfun_quad(_SIGMA_HI))
-    mi_targets = np.linspace(0.0, mi_hi, _N_INV + 1)
-    lo = np.zeros_like(mi_targets)
-    hi = np.full_like(mi_targets, _SIGMA_HI)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        too_low = spline(mid) < mi_targets
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    inv_sigma = 0.5 * (lo + hi)
+    inv_sigma = _bisect_rows(spline, np.linspace(0.0, mi_hi, _N_INV + 1),
+                             _SIGMA_HI, 52)
     inv_sigma[0] = 0.0
 
     # Duality table: g(s) = J^-1(1 - J(s)) on [_DUAL_S0, end), one cubic
@@ -192,18 +214,8 @@ def write_tables(path: Path | str) -> None:
     if n != _DUAL_N:
         raise RuntimeError(f"J rounds to 1 after {n} duality-table "
                            f"intervals, not {_DUAL_N}")
-    s, target = s[:n + 1], target[:n + 1]
-    lo = np.zeros_like(s)
-    hi = np.full_like(s, SIGMA_MAX)
-    g = np.empty_like(s)
-    for _ in range(60):
-        np.add(lo, hi, out=g)
-        g *= 0.5
-        too_low = spline(g) < target
-        np.copyto(lo, g, where=too_low)
-        np.copyto(hi, g, where=~too_low)
-    np.add(lo, hi, out=g)
-    g *= 0.5
+    s = s[:n + 1]
+    g = _bisect_rows(spline, target[:n + 1], SIGMA_MAX, 60)
     g[n] = 0.0
     np.minimum.accumulate(g, out=g)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,7 +238,7 @@ def write_tables(path: Path | str) -> None:
     dual[:, 2] = (secant - slope[:-1]) / dx - t
     dual[:, 3] = t / dx
 
-    data = np.concatenate([grid, spline.c[::-1].ravel(), [mi_hi], inv_sigma,
+    data = np.concatenate([spline.c[::-1].ravel(), [mi_hi], inv_sigma,
                            dual.ravel()])
     Path(path).write_bytes(data.astype("<f8").tobytes())
 
@@ -278,14 +290,9 @@ def jinv(mi: float) -> float:
     inv = _INV  # mi_hi, then the seeds on the MI grid [0, mi_hi]
     mi_hi = inv[0]
     if mi > mi_hi:
-        # Deep saturation: bisect on the spline between sigma_hi and SIGMA_MAX.
-        lo, hi = _SIGMA_HI, SIGMA_MAX
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if jfun(mid) < mi:
-                lo = mid
-            else:
-                hi = mid
+        # Deep saturation: bisect on the spline between sigma_hi and
+        # SIGMA_MAX down to adjacent floats.  J(_SIGMA_HI) is mi_hi, below mi.
+        lo, hi = bisect(lambda s: jfun(s) < mi, _SIGMA_HI, SIGMA_MAX, 0.0)
         return 0.5 * (lo + hi)
     if mi < 1e-4:
         s = math.sqrt(mi / _SMALL_MI_COEFF)

@@ -272,8 +272,23 @@ def test_list_the_command_would_cut_short_exit_2(capsys, command, flag,
     assert "error: invalid spec:" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_table_lists_each_commands_flags():
+    # one row per subcommand: | `name` | `--flag --flag ...` |
+    section = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            rows[cells[0]] = cells[1].split()
+    assert rows == {name: ["--" + key.replace("_", "-") for key in keys]
+                    for name, (keys, _) in cli.COMMANDS.items()}
+
+
 def test_readme_cli_examples_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
     lines = [shlex.split(line) for line in
              block.replace("\\\n", " ").splitlines()

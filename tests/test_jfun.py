@@ -12,8 +12,9 @@ import pytest
 import bmst
 from bmst.jfun import (_DUAL_END, _DUAL_INV_STEP, _DUAL_N, _DUAL_S0,
                        _DUAL_STEP, _INV_STEP, _N_INT, _N_INV, _STEP,
-                       SIGMA_MAX, TABLES_PATH, _jslope, _read_tables, jdual,
-                       jfun, jfun_quad, jinv, qfunc, qfunc_inv, write_tables)
+                       SIGMA_MAX, TABLES_PATH, _jslope, _read_tables, bisect,
+                       jdual, jfun, jfun_quad, jinv, qfunc, qfunc_inv,
+                       write_tables)
 
 LN2 = math.log(2.0)
 
@@ -107,13 +108,13 @@ def test_jdual_is_an_involution():
 
 
 def flat_tables():
-    """The J spline's nodes, its coefficients c0..c3 as four rows, and the
-    duality table's (c0, c1, c2, c3) runs, read from the shipped file as
-    flat float64."""
+    """The J spline's nodes ``i * _STEP``, its coefficients c0..c3 as four
+    rows, and the duality table's (c0, c1, c2, c3) runs, read from the
+    shipped file as flat float64."""
     vals = np.frombuffer(TABLES_PATH.read_bytes(), dtype="<f8").tolist()
-    k = _N_INT + 1
-    coef = [vals[k + j * _N_INT:k + (j + 1) * _N_INT] for j in range(4)]
-    return vals[:k], coef, vals[k + 4 * _N_INT + _N_INV + 2:]
+    coef = [vals[j * _N_INT:(j + 1) * _N_INT] for j in range(4)]
+    return ([i * _STEP for i in range(_N_INT + 1)], coef,
+            vals[4 * _N_INT + _N_INV + 2:])
 
 
 def flat_j(coef, x):
@@ -161,6 +162,47 @@ def test_table_rows_replay_the_file():
         want.append([j.hex(), slope.hex(), flat_dual(coef, dual, x).hex()])
         got.append([jfun(x).hex(), _jslope(x).hex(), jdual(x).hex()])
     assert got == want
+
+
+def logged_bisect(lo, hi, tol, level=0.3):
+    """bisect toward ``level`` from [lo, hi], with every point it evaluates."""
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        assert len(calls) < 2000, "bisect does not stop"
+        return x < level
+
+    return bisect(below, lo, hi, tol), calls
+
+
+def replays_inside(calls, lo, hi, level=0.3):
+    """Each point lies strictly between the ends the interval had then."""
+    for x in calls:
+        if not lo < x < hi:
+            return False
+        lo, hi = (x, hi) if x < level else (lo, x)
+    return True
+
+
+def test_bisect_stops_at_the_width():
+    (lo, hi), calls = logged_bisect(0.0, 1.0, 0.01)
+    assert len(calls) == 7 and hi - lo == 2.0 ** -7  # 2**-6 > 0.01
+    assert lo < 0.3 <= hi
+    assert replays_inside(calls, 0.0, 1.0)
+
+
+def test_bisect_stops_at_adjacent_floats():
+    (lo, hi), calls = logged_bisect(0.0, 1.0, 0.0)
+    assert hi == 0.3 and lo == math.nextafter(0.3, 0.0)
+    assert replays_inside(calls, 0.0, 1.0)
+    # past 2**53 the width stays above 1 while no midpoint is new
+    (lo, hi), calls = logged_bisect(2.0 ** 60, 2.0 ** 61, 1.0, level=1.5e18)
+    assert hi == math.nextafter(lo, math.inf) and hi - lo == 256.0
+    assert replays_inside(calls, 2.0 ** 60, 2.0 ** 61, level=1.5e18)
+    # ends already adjacent: nothing is evaluated
+    one_up = math.nextafter(1.0, 2.0)
+    assert logged_bisect(1.0, one_up, 0.0) == ((1.0, one_up), [])
 
 
 def test_qfunc():

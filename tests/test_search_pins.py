@@ -1,0 +1,71 @@
+"""Bit-for-bit pins of the searches the analysis makes.
+
+``golden/search_outputs.json`` holds, as float.hex, each input with the value
+the search returns for it:
+
+- ``capacity_ebn0_db``: :func:`bmst.channel.bpsk_capacity_ebn0_db` over a
+  grid of rates;
+- ``genie_bound_ebn0_at_target``: the SPC genie bound's Eb/N0 at a target,
+  as ``[code, m, L, target, Eb/N0]``.  spc:4 at m = 1, L = 50 and target 0.3
+  widens its bracket below -10 dB once, and spc:3 at 0.4999 seven times;
+- ``jinv_above_mi_hi``: :func:`bmst.jfun.jinv` above the seed table's range
+  ``mi_hi``: the 100 doubles just above it, 100 random MIs between it and 1,
+  and MIs within 1e-15 and 1e-9 of 1.
+
+``golden/threshold_vs_l_rc2.csv`` is a ``threshold-vs-l`` run whose sigma*,
+capacity and gap columns replay byte for byte.
+
+Every value was recorded while each search still ran its own loop, so the
+pins hold that sharing :func:`bmst.jfun.bisect` moved no bit.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from bmst.basic_codes import make_small_code
+from bmst.channel import bpsk_capacity_ebn0_db
+from bmst.cli import spec_from_args
+from bmst.exit_engine import genie_bound_ebn0_at_target
+from bmst.harness import parse_metadata, replay, spec_from_metadata
+from bmst.jfun import jinv
+
+GOLDEN = Path(__file__).parent / "golden"
+PINS = json.loads((GOLDEN / "search_outputs.json").read_text())
+
+
+def test_capacity_reference_is_bit_exact():
+    for rate, want in PINS["capacity_ebn0_db"]:
+        assert bpsk_capacity_ebn0_db(float.fromhex(rate)).hex() == want, rate
+
+
+@pytest.mark.parametrize("pin", PINS["genie_bound_ebn0_at_target"],
+                         ids=lambda p: f"{p[0]}-m{p[1]}-L{p[2]}-{p[3]}")
+def test_genie_bound_at_target_is_bit_exact(pin):
+    code, memory, length, target, want = pin
+    kind, n = code.split(":")
+    got = genie_bound_ebn0_at_target(make_small_code(kind, int(n)), memory,
+                                     length, target)
+    assert got.hex() == want
+
+
+def test_jinv_above_the_seed_table_is_bit_exact():
+    got = [[mi, jinv(float.fromhex(mi)).hex()]
+           for mi, _ in PINS["jinv_above_mi_hi"]]
+    assert got == PINS["jinv_above_mi_hi"]
+
+
+THRESHOLD_VS_L_RUN = ["threshold-vs-l", "--code", "rc:2", "--memory", "1,2",
+                      "--length", "20,100", "--target-ber", "1e-2",
+                      "--snr=-6:14:0.01"]
+
+
+def test_threshold_vs_l_golden_replays_bit_exactly():
+    text = (GOLDEN / "threshold_vs_l_rc2.csv").read_text()
+    assert spec_from_metadata(parse_metadata(text)) == \
+        spec_from_args(THRESHOLD_VS_L_RUN)
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    assert len(rows) == 5  # header and four searches
+    assert [line for line in replay(text).splitlines()
+            if not line.startswith("#")] == rows
