@@ -1,5 +1,7 @@
 """Experiment runners with replayable CSV output.
 
+An :class:`ExperimentSpec` checks every rule when it is built and raises
+:class:`SpecError` for the first it breaks, so no runner sees a bad spec.
 Every run emits a commented metadata header that echoes the full experiment
 spec plus the RNG algorithm identifiers and package version; feeding that
 header back through :func:`replay` regenerates the CSV bit-exactly (the
@@ -19,7 +21,7 @@ import numpy as np
 from . import __version__
 from .basic_codes import SmallCode, cartesian, make_small_code
 from .channel import (MAX_ABS_SNR_DB, NOISE_ALGORITHM, bpsk_capacity_ebn0_db,
-                      ebn0_to_sigma, llr_demap, transmit)
+                      check_ebn0_db, ebn0_to_sigma, llr_demap, transmit)
 from .encoder import (MAX_ITERS, PERM_ALGORITHM, build_bmst, coupled_rate,
                       encode_bmst, rate_bmst)
 from .exit_engine import (MIN_TARGET_BER, BracketError, ThresholdQuery,
@@ -36,7 +38,8 @@ MAX_SNR_POINTS = 10_000
 #: code bits and, for ``ber``, each buffer of a window's messages, w*(m +
 #: 1)*n*B values for a window of w = min(d + 1, L) layers.  At the bound a
 #: 32-frame batch's channel LLRs take 1 GiB.  So is a threshold run's MI
-#: state, (L + m)*(m + 1) messages a direction.
+#: state, (L + m)*(m + 1) messages a direction, and, for every command, the
+#: n*n values that bound the small code's dense generator (n <= 2,048).
 MAX_FRAME_VALUES = 2 ** 22
 
 
@@ -73,7 +76,7 @@ class ExperimentSpec:
     max_errors: int = 200
     out: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.command not in _FIRST_ONLY:
             raise SpecError(f"unknown command {self.command!r}")
         for name in _FIRST_ONLY[self.command]:
@@ -84,6 +87,9 @@ class ExperimentSpec:
             raise SpecError(f"code kind must be rc or spc, got {self.kind!r}")
         if self.n < 2:
             raise SpecError(f"small-code length must be at least 2, got {self.n}")
+        if self.n * self.n > MAX_FRAME_VALUES:
+            raise SpecError(f"small-code length may be at most "
+                            f"{math.isqrt(MAX_FRAME_VALUES)}, got {self.n}")
         if self.cart < 1:
             raise SpecError(f"Cartesian order must be positive, got {self.cart}")
         if not self.memories or any(m < 0 for m in self.memories):
@@ -259,6 +265,7 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
     whole batch is decoded here and nothing is forked.  The stopping rule
     is checked after each whole batch.
     """
+    check_ebn0_db(ebn0_db)
     small = make_small_code(spec.kind, spec.n)
     basic = cartesian(small, spec.cart)
     code = build_bmst(basic, spec.memory, spec.length, spec.seed)
@@ -287,7 +294,6 @@ def simulate_ber_point(spec: ExperimentSpec, ebn0_db: float,
 
 def run_ber_sweep(spec: ExperimentSpec) -> str:
     """Window-decoder BER over the SNR sweep, with the genie bound column."""
-    spec.validate()
     rows = [astuple(simulate_ber_point(spec, g, idx))
             for idx, g in enumerate(spec.snr_points())]
     return _csv_text(spec, [f.name for f in fields(BerPoint)], rows)
@@ -314,7 +320,6 @@ def run_threshold_vs_l(spec: ExperimentSpec) -> tuple[str, int]:
     Returns the CSV text and the count of bracket failures (rows with a
     non-bracketing interval are recorded and the run continues).
     """
-    spec.validate()
     small = make_small_code(spec.kind, spec.n)
     rows = []
     for m in spec.memories:
@@ -338,7 +343,6 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
     Without an explicit delay list, each memory m contributes rows for both
     d = m and d = 3m, one set when they are equal (m = 0).
     """
-    spec.validate()
     small = make_small_code(spec.kind, spec.n)
     L = spec.length
     rows = []
@@ -359,7 +363,6 @@ def run_threshold_vs_target(spec: ExperimentSpec) -> tuple[str, int]:
 
 def run_lower_bound_table(spec: ExperimentSpec) -> str:
     """Genie-aided BER bound tabulated over the SNR sweep."""
-    spec.validate()
     small = make_small_code(spec.kind, spec.n)
     rows = []
     for m in spec.memories:
@@ -373,7 +376,6 @@ def run_lower_bound_table(spec: ExperimentSpec) -> str:
 
 def run_encode_debug(spec: ExperimentSpec) -> str:
     """Encode one random info sequence and dump every block as a bit string."""
-    spec.validate()
     small = make_small_code(spec.kind, spec.n)
     basic = cartesian(small, spec.cart)
     code = build_bmst(basic, spec.memory, spec.length, spec.seed)
@@ -388,8 +390,7 @@ def run_encode_debug(spec: ExperimentSpec) -> str:
 
 
 def run_spec(spec: ExperimentSpec) -> tuple[str, int]:
-    """Dispatch a spec to its runner; returns (csv_text, bracket_failures).
-    Each runner validates the spec."""
+    """Dispatch a spec to its runner; returns (csv_text, bracket_failures)."""
     if spec.command == "ber":
         return run_ber_sweep(spec), 0
     if spec.command == "threshold-vs-l":

@@ -200,7 +200,7 @@ def test_bad_command_line_is_an_invalid_spec(capsys, argv):
 def test_non_finite_snr_is_an_invalid_spec(snr):
     # a NaN or infinite bound never ends a bisection or an SNR sweep
     with pytest.raises(SpecError):
-        spec_from_args(["ber", "--snr=" + snr]).validate()
+        spec_from_args(["ber", "--snr=" + snr])
 
 
 @pytest.mark.parametrize("argv", [
@@ -234,11 +234,24 @@ def test_threshold_run_beyond_the_frame_bound_exits_2(capsys, command,
                                            ("0,2047", "1")])
 def test_threshold_run_at_the_frame_bound_is_valid(memory, length):
     spec_from_args(["threshold-vs-l", "--memory", memory,
-                    "--length", length]).validate()
+                    "--length", length])
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --code spc:100000",
+    "threshold-vs-l --code spc:100000",
+    "ber --code spc:4194304 --cart 1 --memory 0 --length 1 --delay 0",
+])
+def test_small_code_past_the_bound_is_an_invalid_spec(argv):
+    # the spec alone: a run would build a dense generator of n*n bytes
+    # (10 GB, and 17.6 TB for the ber run) before it failed
+    with pytest.raises(SpecError, match="small-code length may be at most "
+                                        "2048, got"):
+        spec_from_args(argv.split())
 
 
 def test_snr_at_the_bound_is_valid():
-    spec_from_args(["bound", "--snr=-400:400:800"]).validate()
+    spec_from_args(["bound", "--snr=-400:400:800"])
 
 
 def test_nan_snr_exit_2(capsys):
@@ -295,7 +308,7 @@ def test_readme_cli_examples_parse():
              if line.startswith("bmst ")]
     assert len(lines) == 5
     for argv in lines:
-        spec_from_args(argv[1:]).validate()
+        spec_from_args(argv[1:])
 
 
 def data_rows(text):
@@ -341,7 +354,7 @@ def test_golden_and_benchmark_runs_are_valid_specs():
     runs += [w["argv"] for w in workloads.values() if "argv" in w]
     assert {argv[0] for argv in runs} >= {"ber", "encode"}
     for argv in runs:
-        spec_from_args(argv).validate()
+        spec_from_args(argv)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

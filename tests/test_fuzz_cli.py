@@ -34,7 +34,8 @@ TINY = {
     "max_bits": ["1", "100", "2000"],
     "max_errors": ["1", "5", "1000"],
 }
-BAD_CODES = ["rc:1", "spc:0", "rc:-2", "rc", "rc:2:3", "ldpc:3", "spc:nan"]
+BAD_CODES = ["rc:1", "spc:0", "rc:-2", "rc", "rc:2:3", "ldpc:3", "spc:nan",
+             "spc:2049", "rc:4096"]  # the last two: past n <= 2,048
 
 #: Keys that set how long a run takes; omitted, they default to full size.
 SIZE_KEYS = ("cart", "length", "max_bits", "memory", "max_iters", "snr")

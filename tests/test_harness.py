@@ -29,8 +29,9 @@ def tiny_ber_spec(**over):
 
 
 def test_spec_metadata_round_trip():
-    # every field off its default, so each declared type goes through the codec
-    spec = ExperimentSpec(command="threshold-vs-target", kind="spc", n=5,
+    # every field off its default, so each declared type goes through the
+    # codec; bound reads every list field in full
+    spec = ExperimentSpec(command="bound", kind="spc", n=5,
                           cart=7, memories=(2, 3), lengths=(20, 30),
                           delays=(4, 5), max_iters=77, seed=9, snr_lo=-1.5,
                           snr_hi=7.25, snr_step=0.125, targets=(1e-3, 2.5e-5),
@@ -47,23 +48,51 @@ def test_spec_metadata_round_trip():
 
 def test_spec_validation():
     with pytest.raises(SpecError):
-        tiny_ber_spec(max_bits=0).validate()
+        tiny_ber_spec(kind="turbo")
     with pytest.raises(SpecError):
-        tiny_ber_spec(kind="turbo").validate()
-    with pytest.raises(SpecError):
-        tiny_ber_spec(snr_step=-1.0).validate()
+        tiny_ber_spec(snr_step=-1.0)
     with pytest.raises(SpecError):
         ExperimentSpec(command="threshold-vs-l", snr_lo=3.0, snr_hi=3.0,
-                       snr_step=0.01).validate()
+                       snr_step=0.01)
     with pytest.raises(SpecError):
-        tiny_ber_spec(targets=(0.7,)).validate()
+        tiny_ber_spec(targets=(0.7,))
     # the MI-to-BER map cannot tell targets at or below this floor apart
     for target in (MIN_TARGET_BER, 1e-20, 1e-300):
         with pytest.raises(SpecError, match="targets"):
-            tiny_ber_spec(targets=(1e-3, target)).validate()
-    tiny_ber_spec(targets=(2e-17,)).validate()
+            tiny_ber_spec(targets=(1e-3, target))
+    tiny_ber_spec(targets=(2e-17,))
+
+
+@pytest.mark.parametrize("over", [dict(max_bits=0), dict(memories=(1, 2)),
+                                  dict(command="simulate-everything")])
+def test_spec_checks_itself_when_built(over):
+    # simulate_ber_point runs no check of its own: it would give 0 bits,
+    # decode m = 1 alone and decode as ber
     with pytest.raises(SpecError):
-        tiny_ber_spec(command="simulate-everything").validate()
+        tiny_ber_spec(**over)
+
+
+@pytest.mark.parametrize("command", ["ber", "encode", "bound",
+                                     "threshold-vs-l", "threshold-vs-target"])
+@pytest.mark.parametrize("kind", ["rc", "spc"])
+def test_small_code_of_more_than_2048_bits_is_an_invalid_spec(command, kind):
+    # specs alone, never a run: make_small_code builds a dense generator,
+    # (n - 1)*n values for SPC
+    tiny_ber_spec(command=command, kind=kind, n=2048, delays=(3,))
+    for n in (2049, 100_000):
+        with pytest.raises(SpecError, match="small-code length"):
+            tiny_ber_spec(command=command, kind=kind, n=n, delays=(3,))
+
+
+@pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf, 5000.0,
+                                     -5000.0])
+def test_ber_point_checks_its_ebn0_before_decoding(monkeypatch, ebn0_db):
+    def no_decode(*args):
+        raise AssertionError("decoded before checking Eb/N0")
+
+    monkeypatch.setattr(harness, "decode_sequence", no_decode)
+    with pytest.raises(ValueError, match="Eb/N0"):
+        simulate_ber_point(tiny_ber_spec(), ebn0_db, 0)
 
 
 @pytest.mark.parametrize("lo, hi, step", [
@@ -74,54 +103,54 @@ def test_spec_validation():
     (0.0, 10_000 / 32, 1 / 32),  # one point too many, within the SNR bound
 ])
 def test_sweep_of_too_many_points_is_an_invalid_spec(lo, hi, step):
-    # validate() alone: building such a sweep would not end, or would fill
+    # specs alone, never a run: such a sweep would not end, or would fill
     # the memory
     for command in ("ber", "bound"):
         with pytest.raises(SpecError):
             tiny_ber_spec(command=command, snr_lo=lo, snr_hi=hi,
-                          snr_step=step).validate()
+                          snr_step=step)
 
 
 @pytest.mark.parametrize("command", ["ber", "encode"])
 def test_frame_of_too_many_values_is_an_invalid_spec(command):
-    # validate() alone: a run would try to allocate the frame.  Two code
-    # bits per block; (L + m)*n*B sits at the bound, then one block past it.
+    # specs alone, never a run: a run would try to allocate the frame.  Two
+    # code bits per block; (L + m)*n*B sits at the bound, then one block
+    # past it.
     at = dict(command=command, cart=2 ** 20, memories=(0,), lengths=(2,),
               delays=(0,))
-    tiny_ber_spec(**at).validate()
+    tiny_ber_spec(**at)
     with pytest.raises(SpecError):
-        tiny_ber_spec(**dict(at, cart=2 ** 20 + 1)).validate()
+        tiny_ber_spec(**dict(at, cart=2 ** 20 + 1))
     for huge in (dict(cart=10 ** 9), dict(lengths=(10 ** 9,)),
                  dict(memories=(10 ** 9,), delays=(0,))):
         with pytest.raises(SpecError):
-            tiny_ber_spec(**dict(at, **huge)).validate()
+            tiny_ber_spec(**dict(at, **huge))
     # the largest decoder runs on record: RC[2,1]^1000, L = 100, m = 3
     tiny_ber_spec(command=command, cart=1000, memories=(3,), lengths=(100,),
-                  delays=(9,)).validate()
+                  delays=(9,))
 
 
 def test_window_of_too_many_values_is_an_invalid_ber_spec():
     # m = 3 and d = 9 on L = 4: each window buffer holds min(d + 1, L)*(m +
     # 1) = 16 blocks, more than the frame's L + m = 7
     at = dict(cart=2 ** 17, memories=(3,), lengths=(4,), delays=(9,))
-    tiny_ber_spec(**at).validate()
+    tiny_ber_spec(**at)
     with pytest.raises(SpecError):
-        tiny_ber_spec(**dict(at, cart=2 ** 17 + 1)).validate()
-    tiny_ber_spec(**dict(at, command="encode", cart=2 ** 17 + 1)).validate()
+        tiny_ber_spec(**dict(at, cart=2 ** 17 + 1))
+    tiny_ber_spec(**dict(at, command="encode", cart=2 ** 17 + 1))
     # the commands that build no frame take any n*B; of them only bound
     # takes any L, since a threshold run holds (L + m)*(m + 1) MI messages
     for command in ("bound", "threshold-vs-l"):
-        tiny_ber_spec(command=command, cart=10 ** 9, delays=()).validate()
-    tiny_ber_spec(command="bound", lengths=(10 ** 9,)).validate()
+        tiny_ber_spec(command=command, cart=10 ** 9, delays=())
+    tiny_ber_spec(command="bound", lengths=(10 ** 9,))
 
 
 def test_sweep_limits():
     spec = tiny_ber_spec(snr_lo=0.0, snr_hi=9_999 / 32, snr_step=1 / 32)
-    spec.validate()
     assert len(spec.snr_points()) == harness.MAX_SNR_POINTS
     # a threshold search's step is its resolution, not a sweep
     tiny_ber_spec(command="threshold-vs-l", snr_lo=0.0, snr_hi=14.0,
-                  snr_step=1e-300).validate()
+                  snr_step=1e-300)
 
 
 def test_ber_sweep_deterministic_and_replayable():

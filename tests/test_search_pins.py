@@ -17,6 +17,18 @@ capacity and gap columns replay byte for byte.
 
 Every value was recorded while each search still ran its own loop, so the
 pins hold that sharing :func:`bmst.jfun.bisect` moved no bit.
+
+``golden/numeric_outputs.json`` pins, the same way, numerics that other
+tests check only to a tolerance:
+
+- ``ber_basic``: :func:`bmst.basic_codes.ber_basic` of spc:3, 8, 12 and 16
+  from -100 to 8 dB, as ``[code, Eb/N0, BER]``;
+- ``jinv_newton``: :func:`bmst.jfun.jinv` on its Newton path, at MIs below
+  1e-4, 200 random MIs across the seed table and ``mi_hi`` itself;
+- ``jdual_below_table``: :func:`bmst.jfun.jdual` below its table (s < 0.5).
+
+A change to these numerics on purpose (a variance-domain J, a new Gauss
+rule for the SPC BER) shows here as a moved pin.
 """
 
 import json
@@ -24,15 +36,16 @@ from pathlib import Path
 
 import pytest
 
-from bmst.basic_codes import make_small_code
+from bmst.basic_codes import ber_basic, make_small_code
 from bmst.channel import bpsk_capacity_ebn0_db
 from bmst.cli import spec_from_args
 from bmst.exit_engine import genie_bound_ebn0_at_target
 from bmst.harness import parse_metadata, replay, spec_from_metadata
-from bmst.jfun import jinv
+from bmst.jfun import jdual, jinv
 
 GOLDEN = Path(__file__).parent / "golden"
 PINS = json.loads((GOLDEN / "search_outputs.json").read_text())
+NUMERIC = json.loads((GOLDEN / "numeric_outputs.json").read_text())
 
 
 def test_capacity_reference_is_bit_exact():
@@ -54,6 +67,20 @@ def test_jinv_above_the_seed_table_is_bit_exact():
     got = [[mi, jinv(float.fromhex(mi)).hex()]
            for mi, _ in PINS["jinv_above_mi_hi"]]
     assert got == PINS["jinv_above_mi_hi"]
+
+
+def test_spc_basic_ber_is_bit_exact():
+    got = [[code, ebn0, ber_basic(make_small_code("spc", int(code[4:])),
+                                  float.fromhex(ebn0)).ber.hex()]
+           for code, ebn0, _ in NUMERIC["ber_basic"]]
+    assert got == NUMERIC["ber_basic"]
+
+
+@pytest.mark.parametrize("name, fun", [("jinv_newton", jinv),
+                                       ("jdual_below_table", jdual)])
+def test_j_inverses_are_bit_exact(name, fun):
+    got = [[x, fun(float.fromhex(x)).hex()] for x, _ in NUMERIC[name]]
+    assert got == NUMERIC[name]
 
 
 THRESHOLD_VS_L_RUN = ["threshold-vs-l", "--code", "rc:2", "--memory", "1,2",
