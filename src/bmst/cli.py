@@ -61,7 +61,7 @@ COMMANDS = {
              "snr", "max_bits", "max_errors", "out"), {}),
     "threshold-vs-l": (("code", "memory", "length", "delay", "max_iters",
                         "snr", "target_ber", "out"),
-                       {"snr": "0:14:0.01", "target_ber": "1e-7"}),
+                       {"snr": "0:14:0.01"}),
     "threshold-vs-target": (("code", "memory", "length", "delay", "max_iters",
                              "snr", "target_ber", "out"),
                             {"snr": "-2:14:0.01"}),

@@ -72,19 +72,6 @@ def ber_estimate(i_ap: float) -> float:
     return qfunc(0.5 * jinv(i_ap))
 
 
-@dataclass(frozen=True)
-class ConvergenceCheck:
-    passed: bool
-    p_est: float
-
-
-def convergence_check(i_a: float, i_e: float, target_ber: float) -> ConvergenceCheck:
-    """Declare a local decoding success iff the BER estimate derived from
-    the a-posteriori MI is strictly below the target."""
-    p = ber_estimate(mi_ap(i_a, i_e))
-    return ConvergenceCheck(p < target_ber, p)
-
-
 def _check_mi(x: float, name: str) -> None:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
@@ -163,7 +150,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     inf = _INF
     tol = FIXED_POINT_TOL
 
-    def run_window(t: int) -> ConvergenceCheck:
+    def run_window(t: int) -> float:
         plan = window_plan(L, m, d, t)
         for _ in range(len(to_plus), plan.layer_end + 1):
             to_plus.append([0.0] * q)
@@ -251,7 +238,7 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
         for w in w_eq[t]:
             total += w
         i_a = j_fun(sqrt(total))
-        return convergence_check(i_a, transfer(small, i_a), target_ber)
+        return ber_estimate(mi_ap(i_a, transfer(small, i_a)))
 
     def snapshot_band(t: int, t_end: int):
         """The MI of the messages a window reads and writes."""
@@ -264,27 +251,25 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
 
     last_mid = L - 1 - d - m  # last window whose references stay mid-chain
     prev_band = None
-    prev_p = None
     windows = 0
     t = 0
     while t < L:
-        check = run_window(t)
+        p = p_trace[t] = run_window(t)
         windows += 1
-        p_trace[t] = check.p_est
-        if not check.passed:
+        if not p < target_ber:
             return ExitRunResult(False, t, p_trace, windows)
         if steady_state_shortcut and m + 1 <= t <= last_mid:
             # Mid-chain: the window ends at t + d; all bands are one length.
             band = snapshot_band(t, t + d)
             if (prev_band is not None and t + 1 <= last_mid
-                    and abs(check.p_est - prev_p) <= tol
+                    and abs(p - p_trace[t - 1]) <= tol
                     and all(abs(a - b) <= tol
                             for a, b in zip(band, prev_band))):
                 # Every window up to last_mid will repeat this one verbatim:
                 # each layer it decides gets a copy of layer t's parity
                 # rows, and window last_mid a copy of window t's rows.  No
                 # later window reads the equality rows of the layers between.
-                p_trace[t + 1:last_mid + 1] = check.p_est
+                p_trace[t + 1:last_mid + 1] = p
                 for plus, eq in ((to_plus, to_eq), (w_plus, w_eq)):
                     saved_plus = [list(row) for row in plus[t:t + d + 1]]
                     saved_eq = [list(row) for row in eq[t:t + d + 1]]
@@ -296,7 +281,6 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
                 t = last_mid + 1
                 continue
             prev_band = band
-            prev_p = check.p_est
         t += 1
     return ExitRunResult(True, None, p_trace, windows)
 

@@ -179,9 +179,14 @@ def _from_text(hint, raw: str):
 
 def spec_from_metadata(meta: dict[str, str]) -> ExperimentSpec:
     hints = get_type_hints(ExperimentSpec)
-    return ExperimentSpec(**{f.name: _from_text(hints[f.name], meta[f.name])
-                             for f in fields(ExperimentSpec)
-                             if f.name in meta})
+    values = {}
+    for name in (f.name for f in fields(ExperimentSpec) if f.name in meta):
+        try:
+            values[name] = _from_text(hints[name], meta[name])
+        except ValueError:
+            raise SpecError(f"metadata field {name} does not parse: "
+                            f"{meta[name]!r}")
+    return ExperimentSpec(**values)
 
 
 @dataclass(frozen=True)

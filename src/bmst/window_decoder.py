@@ -206,11 +206,14 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     of the decided layers' codeword bits as signs, +1 for 0 and -1 for 1;
     the window reads those its plan ties to it.  Returns the hard decisions
     on the target layer's info bits and their APP LLRs, each shaped
-    ``(trials, K)``.  A decided edge is a factor of +/-1.0 in its parity
-    node's tanh products, and a product by +/-1.0 is exact in any order, so
-    each swept parity node has one term fixed for the window: its channel
-    block's ``tanh(x/2)`` times the signs of its decided edges.  Those
-    terms are computed once, before the first sweep.
+    ``(trials, K)``, and each trial's sweeps, shaped ``(trials,)``: the
+    first sweep that moved none of its messages, or ``max_iters``.
+
+    A decided edge is a factor of +/-1.0 in its parity node's tanh
+    products, and a product by +/-1.0 is exact in any order, so each swept
+    parity node has one term fixed for the window: its channel block's
+    ``tanh(x/2)`` times the signs of its decided edges.  Those terms are
+    computed once, before the first sweep.
 
     Each direction keeps one message buffer (:class:`_ActiveRows`).  A
     trial stops at an exact fixed point, once a sweep moves none of its
@@ -246,12 +249,14 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
                       [[0] * (m + 1) for _ in range(layers)])
     # The target layer's incoming parity messages, for the decision.
     target = np.empty(shape[1:])
+    sweeps = np.empty(trials, dtype=int)
     with np.errstate(divide="ignore"):  # atanh(+/-1), saturated by the clip
         for sweep in range(1, config.max_iters + 1):
             _iterate(code, plan, act)
             done = ~act.moved | (sweep == config.max_iters)
             if done.any():
                 target[:, act.rows[done]] = act.ppm[0][:, done]
+                sweeps[act.rows[done]] = sweep
                 act.subset(~done)
                 if not act.rows.size:
                     break
@@ -259,7 +264,7 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
         _, info_app = siso_decode_basic(code.basic,
                                         clip_llr(total, out=total))
     bits = (info_app < 0).astype(np.uint8)
-    return bits, info_app
+    return bits, info_app, sweeps
 
 
 def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
@@ -283,7 +288,7 @@ def decode_sequence(code: BmstCode, channel_llrs: np.ndarray,
     decisions = np.zeros((llr.shape[0], L, K), dtype=np.uint8)
     for t in range(L):
         plan = window_plan(L, m, config.delay, t)
-        bits, _ = decode_window(code, plan, config, llr, signs)
+        bits, _, _ = decode_window(code, plan, config, llr, signs)
         decisions[:, t] = bits
         signs[:, t] = 1 - 2 * encode_basic(code.basic, bits).astype(np.int8)
     return decisions.reshape(lead + (L * K,))

@@ -3,7 +3,9 @@ bmst and checks that each decoded window makes 1 + sweeps x width SISO
 calls.  This test runs it on both engines, the decoder at m = 2 and at the
 reference point's m = 1 and d = 3, so that a change to those attributes, to
 ``decode_window``'s arguments or to its node calls cannot break
-``bench/run.py --trace 1`` unseen."""
+``bench/run.py --trace 1`` unseen.  It also checks that the sweeps the
+tracer derives for each window are the most any trial of the window
+reports."""
 
 import importlib.util
 from pathlib import Path
@@ -25,7 +27,7 @@ def load_tracer():
     return module
 
 
-def test_tracer_counts_every_window_of_both_engines():
+def test_tracer_counts_every_window_of_both_engines(monkeypatch):
     small = make_small_code("rc", 2)
     L, m = 6, 2
     code = build_bmst(cartesian(small, 4), m, L, seed=3)
@@ -36,6 +38,14 @@ def test_tracer_counts_every_window_of_both_engines():
     ref = build_bmst(cartesian(small, 4), 1, L, seed=3)
     ref_llr = rng.normal(2.0, 2.0, (2, L + 1, ref.N))
     decode_window = wd.decode_window
+    reported = []  # the most sweeps any trial of each window reports
+
+    def reporting(*args):
+        out = decode_window(*args)
+        reported.append(int(out[2].max()))
+        return out
+
+    monkeypatch.setattr(wd, "decode_window", reporting)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
@@ -45,9 +55,10 @@ def test_tracer_counts_every_window_of_both_engines():
         res = exit_engine.exit_window_run(small, m, 3, L, 6.0, 1e-3)
     finally:
         tracer.uninstall()
-    assert wd.decode_window is decode_window
+    assert wd.decode_window is reporting
     assert len(tracer.window_sweeps) == 2 * L
     assert all(1 <= sweeps <= 5 for sweeps in tracer.window_sweeps[:L])
     assert all(1 <= sweeps <= 20 for sweeps in tracer.window_sweeps[L:])
     assert max(tracer.window_sweeps[L:]) > 2
+    assert tracer.window_sweeps == reported
     assert tracer.windows_computed == res.windows_computed > 0

@@ -86,6 +86,17 @@ def test_cli_invalid_spec_exit_2(capsys):
     assert "invalid spec" in err
 
 
+def test_threshold_vs_l_default_target_is_the_specs(capsys):
+    # the run without --target-ber is the run with the spec's default
+    argv = ["threshold-vs-l", *TINY["threshold-vs-l"].split()]
+    texts = []
+    for extra in ([], ["--target-ber", "1e-7"]):
+        assert main(argv + extra) == 0
+        texts.append(strip_timestamp(capsys.readouterr().out))
+    assert texts[0] == texts[1]
+    assert parse_metadata(texts[0])["targets"] == "1e-07"
+
+
 def test_cli_bracket_failure_exit_3(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["threshold-vs-l", "--code", "rc:2", "--memory", "1",

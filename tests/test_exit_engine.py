@@ -14,9 +14,8 @@ from bmst.basic_codes import (ber_basic, cartesian, exit_transfer_c,
 from bmst.channel import MAX_ABS_SNR_DB, channel_mi, ebn0_to_sigma
 from bmst.encoder import build_bmst
 from bmst.exit_engine import (BracketError, ThresholdQuery, ber_estimate,
-                              convergence_check, exit_window_run,
-                              genie_bound_ebn0_at_target, genie_lower_bound,
-                              mi_ap, threshold_search)
+                              exit_window_run, genie_bound_ebn0_at_target,
+                              genie_lower_bound, mi_ap, threshold_search)
 from bmst.jfun import jfun, jinv, qfunc, qfunc_inv
 from time_limit import time_limit
 
@@ -55,18 +54,22 @@ class TestBerEstimate:
 
 
 class TestConvergenceCheck:
+    """A window passes when the BER estimate of its target layer's
+    a-posteriori MI is strictly below the target, which lies in
+    (MIN_TARGET_BER, 0.5)."""
+
     def test_perfect_prior_passes(self):
-        res = convergence_check(1.0, 0.0, 1e-9)
-        assert res.passed and res.p_est == 0.0
+        assert ber_estimate(mi_ap(1.0, 0.0)) == 0.0
 
     def test_no_information_fails(self):
-        res = convergence_check(0.0, 0.0, 1e-7)
-        assert not res.passed and res.p_est == 0.5
+        assert ber_estimate(mi_ap(0.0, 0.0)) == 0.5
 
     def test_boundary_is_strict(self):
-        p = ber_estimate(mi_ap(0.6, 0.6))
-        assert not convergence_check(0.6, 0.6, p).passed
-        assert convergence_check(0.6, 0.6, p * (1 + 1e-9)).passed
+        p = exit_window_run(RC2, 1, 0, 1, 2.0, 0.25).p_est[0]
+        assert 1e-6 < p < 0.25
+        at = exit_window_run(RC2, 1, 0, 1, 2.0, p)
+        assert not at.success and at.fail_layer == 0 and at.p_est[0] == p
+        assert exit_window_run(RC2, 1, 0, 1, 2.0, np.nextafter(p, 1)).success
 
 
 class TestExitWindowRun:

@@ -46,6 +46,15 @@ def test_spec_metadata_round_trip():
         assert repr(getattr(back, f.name)) == repr(value), f.name
 
 
+@pytest.mark.parametrize("field,text", [("n", "abc"), ("memories", "1,,2"),
+                                        ("snr_lo", "x"), ("max_iters", "1.5")])
+def test_spec_metadata_value_that_does_not_parse(field, text):
+    meta = spec_to_metadata(ExperimentSpec(command="ber"))
+    meta[field] = text
+    with pytest.raises(SpecError, match=f"{field} .*{text!r}"):
+        spec_from_metadata(meta)
+
+
 def test_spec_validation():
     with pytest.raises(SpecError):
         tiny_ber_spec(kind="turbo")

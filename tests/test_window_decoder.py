@@ -34,33 +34,14 @@ def encode_bmst_all(code, info):
 def windows_one_by_one(code, cfg, llr):
     """Decode window after window the LLRs ``llr``, shaped ``(trials, L+m,
     N)``, feeding each decision back as ``decode_sequence`` does; yields
-    each window's bits and APP LLRs."""
+    each window's bits, APP LLRs and sweeps per trial."""
     L, N = code.coupling_len, code.N
     signs = np.zeros((len(llr), L, N))
     for t in range(L):
         plan = window_plan(L, code.memory, cfg.delay, t)
-        bits, app = decode_window(code, plan, cfg, llr, signs)
-        yield bits, app
+        bits, app, sweeps = decode_window(code, plan, cfg, llr, signs)
+        yield bits, app, sweeps
         signs[:, t] = 1.0 - 2.0 * encode_basic(code.basic, bits)
-
-
-def siso_calls_per_window(code, cfg, llr, monkeypatch):
-    """The SISO calls of each window of ``windows_one_by_one``: one per
-    layer and sweep, and one for the decision."""
-    import bmst.window_decoder as wd
-
-    calls = [0]
-    siso = wd.siso_decode_basic
-
-    def counting_siso(*args, **kwargs):
-        calls[-1] += 1
-        return siso(*args, **kwargs)
-
-    monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
-    for _ in windows_one_by_one(code, cfg, llr):
-        calls.append(0)
-    monkeypatch.setattr(wd, "siso_decode_basic", siso)
-    return calls[:-1]
 
 
 def plus_node(incoming, channel_llr):
@@ -207,7 +188,7 @@ class TestNoiseless:
         mags = []
         for iters in (1, 2, 4):
             cfg = DecoderConfig(delay=3, max_iters=iters)
-            _, app = next(windows_one_by_one(code, cfg, llr[None]))
+            _, app, _ = next(windows_one_by_one(code, cfg, llr[None]))
             mags.append(float(np.abs(app).mean()))
         assert mags[0] <= mags[1] <= mags[2]
 
@@ -230,8 +211,8 @@ def test_full_sequence_equals_window_composition():
     llr = received_llr(code, info, 4.0, seed=21)
     cfg = DecoderConfig(delay=3, max_iters=15)
     want = decode_sequence(code, llr, cfg)
-    got = np.stack([bits for bits, _ in windows_one_by_one(code, cfg,
-                                                           llr[None])])
+    got = np.stack([bits for bits, _, _ in windows_one_by_one(code, cfg,
+                                                              llr[None])])
     np.testing.assert_array_equal(want, got.ravel())
 
 
@@ -264,7 +245,7 @@ def case_id(case):
 def test_window_apps_replay_bit_exactly(case):
     code, cfg, llr = window_apps_inputs(case)
     got = [[float(v).hex() for v in app.ravel()]
-           for _, app in windows_one_by_one(code, cfg, llr)]
+           for _, app, _ in windows_one_by_one(code, cfg, llr)]
     assert got == case["apps"]
 
 
@@ -282,32 +263,23 @@ def window_apps_inputs(case):
 
 
 @pytest.mark.parametrize("case", WINDOW_APPS, ids=case_id)
-def test_each_trial_stops_at_its_pinned_sweep(case, monkeypatch):
+def test_each_trial_stops_at_its_pinned_sweep(case):
     code, cfg, llr = window_apps_inputs(case)
-    L = code.coupling_len
-    got = []
-    for row in llr:
-        calls = siso_calls_per_window(code, cfg, row[None], monkeypatch)
-        sweeps = []
-        for t, n in enumerate(calls):
-            plan = window_plan(L, code.memory, cfg.delay, t)
-            sweeps.append(divmod(n - 1, plan.layer_end - t + 1))
-        got.append(sweeps)
-    assert got == [[(n, 0) for n in trial]
-                   for trial in WINDOW_SWEEPS[case_id(case)]]
+    got = [[int(n[0]) for _, _, n in windows_one_by_one(code, cfg, row[None])]
+           for row in llr]
+    assert got == WINDOW_SWEEPS[case_id(case)]
 
 
 @pytest.mark.parametrize("case", [c for c in WINDOW_APPS if "capped" in c],
                          ids=case_id)
-def test_capped_windows_run_to_the_cap(case, monkeypatch):
+def test_capped_windows_run_to_the_cap(case):
     # A trial leaves a window at an exact fixed point or at the cap, so a
-    # window whose messages enter a limit cycle runs every sweep too.
+    # window whose messages enter a limit cycle runs every sweep too.  A
+    # capped window is one where some trial runs to the cap.
     code, cfg, llr = window_apps_inputs(case)
-    calls = siso_calls_per_window(code, cfg, llr, monkeypatch)
+    sweeps = [n.max() for _, _, n in windows_one_by_one(code, cfg, llr)]
     for window, _ in case["capped"]:
-        plan = window_plan(code.coupling_len, code.memory, cfg.delay, window)
-        full = 1 + cfg.max_iters * (plan.layer_end - window + 1)
-        assert calls[window] == full
+        assert sweeps[window] == cfg.max_iters
 
 
 def test_parity_nodes_recompute_only_outputs_whose_inputs_moved(
@@ -485,23 +457,23 @@ def test_window_active_set_exits_each_trial_at_its_own_fixed_point(
 
     monkeypatch.setattr(wd, "siso_decode_basic", counting_siso)
 
-    bits, app, sweeps = [], [], []
+    bits, app, sweeps, alone_rows = [], [], [], 0
     for row in llr:
         siso_rows.clear()
-        b, a = next(windows_one_by_one(code, cfg, row[None]))
+        b, a, (n,) = next(windows_one_by_one(code, cfg, row[None]))
+        # one SISO call per layer and sweep, and one for the decision
+        assert len(siso_rows) == 1 + width * n
         bits.append(b[0])
         app.append(a[0])
-        n, rest = divmod(len(siso_rows) - 1, width)
-        assert rest == 0
         sweeps.append(n)
+        alone_rows += sum(siso_rows)
     assert max(sweeps) < cfg.max_iters  # every trial exits early ...
     assert len(set(sweeps)) > 2  # ... and at its own sweep
 
     siso_rows.clear()
-    got_bits, got_app = next(windows_one_by_one(code, cfg, llr))
+    got_bits, got_app, got_sweeps = next(windows_one_by_one(code, cfg, llr))
     np.testing.assert_array_equal(got_bits, np.stack(bits))
     np.testing.assert_array_equal(got_app, np.stack(app))
-    # one SISO call per layer per sweep while any trial iterates, plus the
-    # final decision; a converged trial costs no further work
-    assert len(siso_rows) == 1 + max(sweeps) * width
-    assert sum(siso_rows) == len(llr) + width * sum(sweeps)
+    np.testing.assert_array_equal(got_sweeps, sweeps)
+    # a converged trial costs no further work
+    assert sum(siso_rows) == alone_rows
