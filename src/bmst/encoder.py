@@ -92,8 +92,6 @@ def build_bmst(basic: BasicCode, memory: int, coupling_len: int,
     perms = [_fisher_yates(rng, basic.N) for _ in range(memory + 1)]
     inv = []
     for p in perms:
-        if np.any(np.bincount(p, minlength=basic.N) != 1):
-            raise AssertionError("sampled permutation is not a bijection")
         q = np.empty_like(p)
         q[p] = np.arange(basic.N, dtype=np.int64)
         inv.append(q)
@@ -134,16 +132,18 @@ class WindowPlan(NamedTuple):
     analysis both run.
 
     The window holds layers ``position .. layer_end``.  ``sweep`` lists
-    ``(s, edges)`` in sweep order: parity node s, then, if s <=
-    ``layer_end``, the equality and code node of layer s.  ``edges`` holds
-    the ``(j, x)`` pairs, in order of j, that tie parity node s through
-    permutation j to layer ``x = s - j`` with ``0 <= x < L``; layer x is
-    decided iff ``x < position``.
+    ``(s, live, decided)`` in sweep order: parity node s, then, if s <=
+    ``layer_end``, the equality and code node of layer s.  ``live`` and
+    ``decided`` hold, in order of j, the ``(j, x)`` pairs that tie parity
+    node s through permutation j to layer ``x = s - j`` of the window
+    (``position <= x < L``) and of the decided layers (``0 <= x <
+    position``).
     """
 
     position: int
     layer_end: int
-    sweep: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    sweep: tuple[tuple[int, tuple[tuple[int, int], ...],
+                       tuple[tuple[int, int], ...]], ...]
 
 
 def window_plan(coupling_len: int, memory: int, delay: int,
@@ -163,12 +163,17 @@ def window_plan(coupling_len: int, memory: int, delay: int,
     layer_end = min(position + delay, L - 1)
     stop = L + m if layer_end == L - 1 else layer_end + 1
     sweep = tuple(
-        (s, tuple((j, s - j) for j in range(m + 1) if 0 <= s - j < L))
+        (s, tuple((j, s - j) for j in range(m + 1) if position <= s - j < L),
+         tuple((j, s - j) for j in range(m + 1) if 0 <= s - j < position))
         for s in range(position, stop))
     return WindowPlan(position, layer_end, sweep)
 
 
-def generator_matrix(code: BmstCode, max_entries: int = 50_000_000) -> sp.csr_array:
+#: The most block entries :func:`generator_matrix` builds.
+MAX_GENERATOR_ENTRIES = 50_000_000
+
+
+def generator_matrix(code: BmstCode) -> sp.csr_array:
     """Explicit sparse L*K x (L+m)*N generator; for testing small instances.
 
     Block (i, j) is the basic generator column-permuted by the offset-(j-i)
@@ -178,10 +183,10 @@ def generator_matrix(code: BmstCode, max_entries: int = 50_000_000) -> sp.csr_ar
 
     L, m = code.coupling_len, code.memory
     nnz = L * (m + 1) * code.K * code.N
-    if nnz > max_entries:
+    if nnz > MAX_GENERATOR_ENTRIES:
         raise ValueError(
             f"generator matrix would hold {nnz} block entries, "
-            f"above the limit of {max_entries}")
+            f"above the limit of {MAX_GENERATOR_ENTRIES}")
     g = code.basic.generator()
     blocks = [sp.csr_array(g[:, code.perms[i]]) for i in range(m + 1)]
     grid = [[blocks[j - i] if 0 <= j - i <= m else None

@@ -108,8 +108,8 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
     (``w_plus``, ``w_eq``).  The sender computes it when it writes a std
     that differs from the one before, and receivers read it as stored.  A
     window reads the weights of its decided layers' edges once, when it
-    starts; they come last in a parity node's edge order, so every sum adds
-    the same terms in the same order as a loop over the edges would.
+    starts; the plan lists them apart, last in edge order, so every sum
+    adds the same terms in the same order as a loop over the edges would.
 
     The code node's extrinsic variance is (n-1) * total for RC and
     ``jdual(sqrt(n-1) * jdual(sqrt(total)))**2`` for SPC: the variance
@@ -158,13 +158,12 @@ def exit_window_run(small: SmallCode, memory: int, delay: int,
             to_eq.append([inf] * q)
             w_eq.append([0.0] * q)
         nodes = []
-        for s, edges in plan.sweep:
+        for s, live, decided in plan.sweep:
             # A decided layer's weights are frozen: read them once.
-            frozen = [w_plus[x][j] for j, x in edges if x < t]
+            frozen = [w_plus[x][j] for j, x in decided]
             layer = ((w_eq[s], to_plus[s], w_plus[s])
                      if s <= plan.layer_end else None)
-            nodes.append(([(w_plus[x], j, to_eq[x], w_eq[x])
-                           for j, x in edges if x >= t],
+            nodes.append(([(w_plus[x], j, to_eq[x], w_eq[x]) for j, x in live],
                           frozen.count(inf), [w for w in frozen if w != inf],
                           layer))
         for _ in range(max_iters):

@@ -178,6 +178,8 @@ def _from_text(hint, raw: str):
 
 
 def spec_from_metadata(meta: dict[str, str]) -> ExperimentSpec:
+    if "command" not in meta:
+        raise SpecError("metadata has no command field")
     hints = get_type_hints(ExperimentSpec)
     values = {}
     for name in (f.name for f in fields(ExperimentSpec) if f.name in meta):

@@ -111,10 +111,9 @@ class _ActiveRows:
             msgs[...] = new
 
 
-def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
-               edges) -> None:
-    """Update parity node of block s in the window of target layer t; write
-    its extrinsics toward the window's layers.
+def _plus_node(code: BmstCode, act: _ActiveRows, b: int, live) -> None:
+    """Update the window's parity node b; write its extrinsics along its
+    ``live`` edges ``(j, w)``: permutation j to the window's layer w.
 
     An output reads the node's fixed term and the other live edges'
     messages.  It is recomputed only if one of those is newer than it, else
@@ -127,7 +126,6 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
     messages the recomputed outputs read, gathered into the rows of one
     block that becomes their tanh in place; the others are None.
     """
-    live = [(j, x - t) for j, x in edges if x >= t]
     ins = [act.epm_ver[w] for _, w in live]
     redo = []
     for k, (j, w) in enumerate(live):
@@ -137,7 +135,7 @@ def _plus_node(code: BmstCode, act: _ActiveRows, t: int, s: int,
             redo.append(k)
     if not redo:
         return
-    th = [act.fixed[s - t]] + [None] * len(live)
+    th = [act.fixed[b]] + [None] * len(live)
     read = [i for i in range(len(live)) if redo != [i]]
     if read:
         block = np.empty((len(read),) + act.fixed.shape[1:])
@@ -163,12 +161,9 @@ def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
     """Equality and code-constraint updates of the window's layer w.  The
     outputs get a new version only if an input is newer than them; else
     they are the bits the node computed before, and are not compared."""
-    # Parity node of layer w has just spoken; the ones after it speak later.
-    now, later = act.ppm[w, 0], act.ppm[w, 1:]
-    # numpy sums over a leading axis edge by edge from +0.0; so does this.
-    total = 0.0 + now
-    for msg in later:
-        total += msg
+    ppm = act.ppm[w]
+    # numpy adds a leading axis edge by edge from +0.0: all -0.0 give +0.0.
+    total = ppm.sum(axis=0)
     from_c, _ = siso_decode_basic(code.basic, clip_llr(total),
                                   info_app=False)
     act.clock += 1
@@ -176,23 +171,10 @@ def _eq_c_node(code: BmstCode, act: _ActiveRows, w: int) -> None:
     if max(act.ppm_ver[w]) > act.epm_ver[w]:
         act.epm_ver[w] = act.clock
         out = act.out(msgs)
-    np.subtract(total, now, out=out[0])
-    np.subtract(total, later, out=out[1:])
+    np.subtract(total, ppm, out=out)
     out += from_c
     clip_llr(out, out=out)
     act.write(msgs, out, (0, 2))
-
-
-def _iterate(code: BmstCode, plan: WindowPlan, act: _ActiveRows) -> None:
-    """One sweep of the plan: each parity node, then the equality and code
-    node of its layer if the window holds one; flags the trials it moves."""
-    act.moved = np.zeros(act.rows.size, dtype=bool)
-    act.still = True
-    t = plan.position
-    for s, edges in plan.sweep:
-        _plus_node(code, act, t, s, edges)
-        if s <= plan.layer_end:
-            _eq_c_node(code, act, s - t)
 
 
 def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
@@ -213,7 +195,9 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     products, and a product by +/-1.0 is exact in any order, so each swept
     parity node has one term fixed for the window: its channel block's
     ``tanh(x/2)`` times the signs of its decided edges.  Those terms are
-    computed once, before the first sweep.
+    computed once, before the first sweep, as is the list of nodes a sweep
+    walks: each parity node's block, its live edges and whether its layer's
+    equality and code node follow it.
 
     Each direction keeps one message buffer (:class:`_ActiveRows`).  A
     trial stops at an exact fixed point, once a sweep moves none of its
@@ -240,10 +224,12 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     shape = (layers, m + 1, trials, N)
     # The swept blocks' fixed terms as (blocks, trials, N).
     fixed = tanh_half(channel_llr[:, t:plan.sweep[-1][0] + 1].swapaxes(0, 1))
-    for s, edges in plan.sweep:
-        for j, x in edges:
-            if x < t:
-                fixed[s - t] *= decided_signs[:, x, code.perms[j]]
+    nodes = []
+    for s, live, decided in plan.sweep:
+        for j, x in decided:
+            fixed[s - t] *= decided_signs[:, x, code.perms[j]]
+        nodes.append((s - t, [(j, x - t) for j, x in live],
+                      s <= plan.layer_end))
     act = _ActiveRows(np.arange(trials), fixed, np.zeros(shape),
                       np.zeros(shape), [0] * layers,
                       [[0] * (m + 1) for _ in range(layers)])
@@ -252,7 +238,12 @@ def decode_window(code: BmstCode, plan: WindowPlan, config: DecoderConfig,
     sweeps = np.empty(trials, dtype=int)
     with np.errstate(divide="ignore"):  # atanh(+/-1), saturated by the clip
         for sweep in range(1, config.max_iters + 1):
-            _iterate(code, plan, act)
+            act.moved = np.zeros(act.rows.size, dtype=bool)
+            act.still = True
+            for b, live, holds_layer in nodes:
+                _plus_node(code, act, b, live)
+                if holds_layer:
+                    _eq_c_node(code, act, b)
             done = ~act.moved | (sweep == config.max_iters)
             if done.any():
                 target[:, act.rows[done]] = act.ppm[0][:, done]

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bmst.basic_codes import cartesian, make_small_code
-from bmst.encoder import (build_bmst, coupled_rate, encode_bmst,
-                          generator_matrix, rate_bmst, window_plan)
+from bmst.encoder import (MAX_GENERATOR_ENTRIES, build_bmst, coupled_rate,
+                          encode_bmst, generator_matrix, rate_bmst,
+                          window_plan)
 
 
 def small_rc2(B=2):
@@ -144,9 +145,12 @@ class TestGeneratorMatrix:
         assert Fraction(gm.shape[0], gm.shape[1]) == rate_bmst(code).fraction
 
     def test_resource_guard(self):
-        code = build_bmst(small_rc2(100), 4, 500, seed=1)
-        with pytest.raises(ValueError):
-            generator_matrix(code, max_entries=10_000)
+        # one layer past the limit: 501 * 5 * 100 * 200 = 50,100,000 block
+        # entries, rejected before any array is built
+        code = build_bmst(small_rc2(100), 4, 501, seed=1)
+        assert 501 * 5 * code.K * code.N > MAX_GENERATOR_ENTRIES
+        with pytest.raises(ValueError, match="above the limit"):
+            generator_matrix(code)
 
 
 class TestWindowPlan:
@@ -164,17 +168,18 @@ class TestWindowPlan:
                 for s in range(t, L + m):
                     layers = [x for x in range(L) if 0 <= s - x <= m]
                     if max(layers) <= end:
-                        want.append((s, tuple(sorted((s - x, x)
-                                                     for x in layers))))
+                        edges = sorted((s - x, x) for x in layers)
+                        want.append((s, tuple(e for e in edges if e[1] >= t),
+                                     tuple(e for e in edges if e[1] < t)))
                 assert plan.sweep == tuple(want), (L, m, d, t)
-                tails = [s for s, _ in plan.sweep if s >= L]
+                tails = [s for s, _, _ in plan.sweep if s >= L]
                 assert tails == (list(range(L, L + m)) if end == L - 1
                                  else []), (L, m, d, t)
                 # the decided edges: layers left of the window, seen by a
                 # swept parity node
-                swept = {s for s, _ in plan.sweep}
-                decided = {(x, j) for _, edges in plan.sweep
-                           for j, x in edges if x < t}
+                swept = {s for s, _, _ in plan.sweep}
+                decided = {(x, j) for _, _, edges in plan.sweep
+                           for j, x in edges}
                 assert decided == {
                     (x, j) for x in range(max(t - m, 0), t)
                     for j in range(t - x, m + 1) if x + j in swept}

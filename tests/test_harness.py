@@ -55,6 +55,12 @@ def test_spec_metadata_value_that_does_not_parse(field, text):
         spec_from_metadata(meta)
 
 
+@pytest.mark.parametrize("text", ["", "# kind=rc\n"])
+def test_replay_of_a_header_with_no_command(text):
+    with pytest.raises(SpecError, match="no command field"):
+        replay(text)
+
+
 def test_spec_validation():
     with pytest.raises(SpecError):
         tiny_ber_spec(kind="turbo")

@@ -111,6 +111,16 @@ class TestNodeEq:
         assert np.all(to_plus == 0.0)
         assert np.all(to_c == 0.0)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_negative_zeros_reach_the_code_node_as_positive_zero(
+            self, m, monkeypatch):
+        # the sum starts from +0.0, as numpy's reduction over edges does;
+        # one that started from the first edge would pass -0.0 on
+        code = build(kind="spc", n=3, B=1, m=m, L=3)
+        _, to_c, _ = eq_node(code, [np.full(3, -0.0)] * (m + 1), monkeypatch)
+        assert np.all(to_c == 0.0)
+        assert not np.signbit(to_c).any()
+
     def test_leave_one_out_sums_exact(self, monkeypatch):
         # multiples of 1/4 add without rounding, in any order
         code = build(kind="rc", n=2, B=4, m=2, L=3)
